@@ -11,7 +11,7 @@
 use crate::api::{ApiRequest, IngressRecord};
 use crate::fleet::{ColdStartMode, FleetConfig, LoadState, ModelRegistry};
 use crate::heatmap::Heatmap;
-use crate::je::{Decision, JobExecutor, Policy, SchedPool, Target, TeSnapshot};
+use crate::je::{Decision, JobExecutor, LoadIndex, Policy, Target};
 use crate::manager::{HealthConfig, HealthMonitor};
 use crate::pool::{PoolMember, WorkerPool};
 use crate::predictor::{DecodePredictor, FixedAccuracy, Oracle};
@@ -376,6 +376,11 @@ pub struct ClusterSim {
     fabric_wake: Option<SimTime>,
     tes: Vec<Te>,
     pairs: Vec<(TeId, TeId)>,
+    /// Dispatch view of `tes`: every TE's engine load plus the routable
+    /// (not detected-down) colocated TEs and pairs. Kept current by
+    /// `sync_load` after every engine mutation and by detection/repair;
+    /// see DESIGN.md "Dispatch load index".
+    load_index: LoadIndex,
     je: JobExecutor,
     /// In-flight request store: slot-addressed, recycled LIFO once a
     /// request reaches a terminal state. `None` = free slot. Memory is
@@ -588,6 +593,7 @@ impl ClusterSim {
         );
         let heads: Vec<NpuId> = tes.iter().map(|t| t.npus[0]).collect();
         distflow.link_cluster(&heads);
+        let load_index = Self::build_load_index(&tes, &pairs);
         ClusterSim {
             cfg,
             clock: Clock::new(),
@@ -595,6 +601,7 @@ impl ClusterSim {
             fabric_wake: None,
             tes,
             pairs,
+            load_index,
             je,
             arrivals: Vec::new(),
             free_slots: Vec::new(),
@@ -1236,7 +1243,7 @@ impl ClusterSim {
                     t.alive && t.epoch == epoch
                 };
                 if current {
-                    self.te_mut(te).engine.populate_transfer_done(now, ticket);
+                    self.with_engine(te, |e| e.populate_transfer_done(now, ticket));
                     self.reschedule_wake(now, te);
                 }
             }
@@ -1268,33 +1275,37 @@ impl ClusterSim {
         &mut self.tes[id.0 as usize]
     }
 
-    /// Scheduling view of the pool. TEs the health monitor has declared
-    /// down are excluded; TEs that crashed but are not yet detected stay
-    /// routable — the platform cannot know about a failure before its
-    /// heartbeats go missing.
-    fn sched_pool(&self) -> SchedPool {
-        let mut pool = SchedPool::default();
-        for t in &self.tes {
-            if t.detected {
-                continue;
-            }
-            if t.role == TeRole::Colocated {
-                pool.colocated.push(t.id);
-            }
-            pool.loads.insert(
-                t.id,
-                TeSnapshot {
-                    load: t.engine.load(),
-                },
-            );
-        }
-        pool.pairs = self
-            .pairs
+    /// Indexes the pool from scratch. TEs the health monitor has declared
+    /// down are not routable; TEs that crashed but are not yet detected
+    /// stay routable — the platform cannot know about a failure before
+    /// its heartbeats go missing.
+    fn build_load_index(tes: &[Te], pairs: &[(TeId, TeId)]) -> LoadIndex {
+        let colocated: Vec<TeId> = tes
             .iter()
-            .copied()
-            .filter(|&(p, d)| !self.tes[p.0 as usize].detected && !self.tes[d.0 as usize].detected)
+            .filter(|t| t.role == TeRole::Colocated)
+            .map(|t| t.id)
             .collect();
-        pool
+        LoadIndex::build(
+            &colocated,
+            pairs,
+            |t| tes[t.0 as usize].detected,
+            |t| tes[t.0 as usize].engine.load(),
+        )
+    }
+
+    /// Re-reads TE `te_id`'s engine load into the dispatch index.
+    fn sync_load(&mut self, te_id: TeId) {
+        let load = self.tes[te_id.0 as usize].engine.load();
+        self.load_index.set_load(te_id, load);
+    }
+
+    /// Runs `f` on TE `te_id`'s engine, then re-indexes its load. Every
+    /// engine call that can change `Engine::load` goes through here (or,
+    /// for engines moved out to the worker pool, `sync_load` on return).
+    fn with_engine<R>(&mut self, te_id: TeId, f: impl FnOnce(&mut Engine) -> R) -> R {
+        let r = f(&mut self.tes[te_id.0 as usize].engine);
+        self.sync_load(te_id);
+        r
     }
 
     fn on_arrival(&mut self, now: SimTime, idx: u32) {
@@ -1342,8 +1353,12 @@ impl ClusterSim {
                 return;
             }
         }
-        let pool = self.sched_pool();
-        if pool.colocated.is_empty() && pool.pairs.is_empty() {
+        debug_assert_eq!(
+            self.load_index,
+            Self::build_load_index(&self.tes, &self.pairs),
+            "dispatch load index drifted from the engines"
+        );
+        if self.load_index.is_empty() {
             // Every routable TE is detected-down; park the request until a
             // repair restores capacity.
             self.counters.incr("sim.dispatch_deferred");
@@ -1354,7 +1369,7 @@ impl ClusterSim {
             );
             return;
         }
-        let decision: Decision = self.je.schedule(now, &req, &pool);
+        let decision: Decision = self.je.schedule_indexed(now, &req, &self.load_index);
         let new = NewRequest {
             id: req.id,
             prompt: req.prompt.clone(),
@@ -1380,10 +1395,7 @@ impl ClusterSim {
         let world = self.cfg.parallelism.world_size() as u64;
         let kv_bytes_tok = self.cfg.model.kv_bytes_per_token();
         let id = new.id;
-        let outcome = {
-            let te = self.te_mut(te_id);
-            te.engine.submit(now, new)
-        };
+        let outcome = self.with_engine(te_id, |e| e.submit(now, new));
         if !outcome.accepted {
             self.counters.incr("sim.rejected");
             self.note_failed(now, id, "rejected");
@@ -1464,10 +1476,7 @@ impl ClusterSim {
         let pacing = self.current_pacing();
         let mut events = std::mem::take(&mut self.events_scratch);
         events.clear();
-        {
-            let te = self.te_mut(te_id);
-            te.engine.advance_paced(now, pacing, &mut events);
-        }
+        self.with_engine(te_id, |e| e.advance_paced(now, pacing, &mut events));
         for ev in events.drain(..) {
             self.on_engine_event(now, te_id, ev);
         }
@@ -1694,9 +1703,7 @@ impl ClusterSim {
             let mut slot = 0;
             for &(t, te, ok) in wave {
                 if ok {
-                    self.tes[te.0 as usize]
-                        .engine
-                        .advance_paced(t, pacing, &mut bufs[slot]);
+                    self.with_engine(te, |e| e.advance_paced(t, pacing, &mut bufs[slot]));
                     slot += 1;
                 }
             }
@@ -1744,6 +1751,7 @@ impl ClusterSim {
             };
             let placeholder = std::mem::replace(&mut self.tes[te.0 as usize].engine, m.engine);
             self.spare_engines.push(placeholder);
+            self.sync_load(te);
             bufs[slot] = m.buf;
             slot += 1;
         }
@@ -1938,7 +1946,7 @@ impl ClusterSim {
         }
         let Some(to) = self.decode_route.remove(&id) else {
             // No route (e.g. context-cache-create): release immediately.
-            self.te_mut(from).engine.release_migrated(now, id);
+            self.with_engine(from, |e| e.release_migrated(now, id));
             return;
         };
         if !self.tes[to.0 as usize].alive {
@@ -1946,7 +1954,7 @@ impl ClusterSim {
             // the prefill copy and send the request back through the JE.
             self.pending_migration.remove(&id);
             self.counters.incr("sim.migrations_aborted");
-            self.te_mut(from).engine.release_migrated(now, id);
+            self.with_engine(from, |e| e.release_migrated(now, id));
             self.reschedule_wake(now, from);
             self.requeue(now, id);
             return;
@@ -1955,7 +1963,7 @@ impl ClusterSim {
             // Metadata lost (bookkeeping bug): loud in debug builds; in
             // release, free the prefill TE's copy instead of wedging it.
             debug_assert!(false, "disaggregated request {id:?} lacks stashed metadata");
-            self.te_mut(from).engine.release_migrated(now, id);
+            self.with_engine(from, |e| e.release_migrated(now, id));
             return;
         };
         // By-layer streaming overlaps most of the transfer with prefill;
@@ -1995,7 +2003,7 @@ impl ClusterSim {
             Ok(plan) => plan,
             Err(e) => {
                 debug_assert!(false, "unlinked TE pair {src:?} -> {dst:?}: {e:?}");
-                self.te_mut(from).engine.release_migrated(now, id);
+                self.with_engine(from, |e| e.release_migrated(now, id));
                 return;
             }
         };
@@ -2064,19 +2072,17 @@ impl ClusterSim {
                 // (requeueing here too would double-submit).
                 self.counters.incr("sim.migrations_aborted");
                 if from_alive {
-                    self.te_mut(m.from).engine.release_migrated(now, m.new.id);
+                    self.with_engine(m.from, |e| e.release_migrated(now, m.new.id));
                     self.reschedule_wake(now, m.from);
                     self.requeue(now, m.new.id);
                 }
                 continue;
             }
-            self.te_mut(m.from).engine.release_migrated(now, m.new.id);
+            self.with_engine(m.from, |e| e.release_migrated(now, m.new.id));
             let to = m.to;
-            {
-                let te = self.te_mut(to);
-                te.engine
-                    .submit_with_kv(now, m.new, m.kv_tokens, m.first_token_at);
-            }
+            self.with_engine(to, |e| {
+                e.submit_with_kv(now, m.new, m.kv_tokens, m.first_token_at)
+            });
             self.reschedule_wake(now, m.from);
             self.reschedule_wake(now, to);
         }
@@ -2194,6 +2200,7 @@ impl ClusterSim {
             );
         }
         self.je.note_te_removed(te_id);
+        self.load_index.set_down(te_id, true);
         let head = self.tes[te_id.0 as usize].npus[0];
         self.distflow.unlink_npu(head);
 
@@ -2212,7 +2219,7 @@ impl ClusterSim {
             self.tracer.end_span(now, m.span);
             self.counters.incr("sim.migrations_aborted");
             if self.tes[m.from.0 as usize].alive {
-                self.te_mut(m.from).engine.release_migrated(now, m.new.id);
+                self.with_engine(m.from, |e| e.release_migrated(now, m.new.id));
                 self.reschedule_wake(now, m.from);
                 self.requeue(now, m.new.id);
             }
@@ -2229,6 +2236,7 @@ impl ClusterSim {
         }
         old.set_token_events(self.token_events);
         std::mem::swap(&mut self.tes[idx].engine, &mut old);
+        self.sync_load(te_id);
         self.tes[idx].epoch += 1;
         self.tes[idx].scheduled_wake = None;
         let orphans = old.active_request_ids();
@@ -2306,6 +2314,7 @@ impl ClusterSim {
             );
         }
         self.je.note_te_added(te_id);
+        self.load_index.set_down(te_id, false);
         if let Some(h) = self.health.as_mut() {
             h.register(te_id, now);
         }

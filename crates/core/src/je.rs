@@ -22,7 +22,7 @@ use crate::predictor::DecodePredictor;
 use crate::prompt_tree::{GlobalPromptTree, TeId};
 use simcore::trace::{Trace, TraceLevel, Tracer};
 use simcore::{Counters, SimTime};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Scheduling policy selector (the Figure 6 comparison set plus ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,44 +83,251 @@ pub struct SchedPool {
     pub loads: HashMap<TeId, TeSnapshot>,
 }
 
-/// Borrowed scheduling view the policies run against: the (possibly
-/// filtered) TE lists plus the caller's live load snapshots. `Copy`, so it
-/// threads through the policy helpers without cloning anything.
-#[derive(Clone, Copy)]
-struct PoolView<'a> {
-    colocated: &'a [TeId],
-    pairs: &'a [(TeId, TeId)],
-    loads: &'a HashMap<TeId, TeSnapshot>,
+/// One TE type: the subgroups `select_tes_PD_heatmap` chooses between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Colocated,
+    Disaggregated,
 }
 
-impl PoolView<'_> {
-    fn load(&self, te: TeId) -> usize {
-        self.loads.get(&te).map_or(0, |s| s.load)
-    }
-
-    /// Load of a pair = load of its more loaded half (either half
-    /// saturating stalls the pipeline).
-    fn pair_load(&self, pair: (TeId, TeId)) -> usize {
-        self.load(pair.0).max(self.load(pair.1))
-    }
-}
-
-/// Cached removed-TE filtering of a caller's pool snapshot. The keys are
-/// the caller's unfiltered lists: while callers keep presenting the same
-/// pool shape (the common case — pools only change on repair/scale
-/// events), every `schedule` call reuses the filtered lists instead of
-/// rebuilding them per request. Invalidated by
-/// [`JobExecutor::note_te_removed`] / [`JobExecutor::note_te_added`].
-struct FilteredPool {
-    key_colocated: Vec<TeId>,
-    key_pairs: Vec<(TeId, TeId)>,
+/// The dispatch load index: the routable targets of a pool with their
+/// loads, ordered so every question Algorithm 1 asks is a `first()` /
+/// `last()` away.
+///
+/// Colocated TEs are keyed `(load, TeId)`; pairs `(max(prefill load,
+/// decode load), prefill TeId, position in the routable pair list)` —
+/// a pair is as loaded as its busier half. Ending each key in TeId or
+/// list position makes `first()` the first minimum in list order, the
+/// tie-break Algorithm 1 has always used (DESIGN.md explains why).
+///
+/// The owner keeps it current: [`LoadIndex::set_load`] after every
+/// change to a TE's load (O(log TEs) per affected target) and
+/// [`LoadIndex::set_down`] when a TE leaves or rejoins service (a
+/// rebuild; rare). See DESIGN.md "Dispatch load index".
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LoadIndex {
+    /// Every colocated TE of the pool, routable or not, in pool order.
+    pool_colocated: Vec<TeId>,
+    /// Every pair of the pool, in pool order.
+    pool_pairs: Vec<(TeId, TeId)>,
+    /// Per TeId: barred from scheduling.
+    down: Vec<bool>,
+    /// Per TeId: current load (0 until reported).
+    loads: Vec<usize>,
+    /// Routable colocated TEs, in pool order.
     colocated: Vec<TeId>,
+    /// Routable pairs (both halves up), in pool order.
     pairs: Vec<(TeId, TeId)>,
+    /// Per TeId: member of `colocated`.
+    in_colocated: Vec<bool>,
+    /// Per TeId: positions in `pairs` of the pairs it is a half of.
+    pairs_of: Vec<Vec<u32>>,
+    /// Routable colocated TEs by `(load, TeId)`.
+    colocated_by_load: BTreeSet<(usize, TeId)>,
+    /// Routable pairs by `(pair load, prefill TeId, position)`.
+    pairs_by_load: BTreeSet<(usize, TeId, u32)>,
+}
+
+impl LoadIndex {
+    /// Indexes a pool: `colocated` TEs and `pairs` in the pool's order,
+    /// minus TEs for which `is_down` holds, with `load` read once per TE.
+    pub fn build(
+        colocated: &[TeId],
+        pairs: &[(TeId, TeId)],
+        is_down: impl Fn(TeId) -> bool,
+        load: impl Fn(TeId) -> usize,
+    ) -> Self {
+        let n = colocated
+            .iter()
+            .chain(pairs.iter().flat_map(|(p, d)| [p, d]))
+            .map(|t| t.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut ix = LoadIndex {
+            pool_colocated: colocated.to_vec(),
+            pool_pairs: pairs.to_vec(),
+            down: (0..n).map(|i| is_down(TeId(i as u32))).collect(),
+            loads: (0..n).map(|i| load(TeId(i as u32))).collect(),
+            ..LoadIndex::default()
+        };
+        ix.reindex();
+        ix
+    }
+
+    /// Rebuilds the routable lists and both ordered sets from the pool
+    /// lists, `down` and `loads`.
+    fn reindex(&mut self) {
+        let n = self.loads.len();
+        let down = &self.down;
+        self.colocated = self
+            .pool_colocated
+            .iter()
+            .copied()
+            .filter(|t| !down[t.0 as usize])
+            .collect();
+        self.pairs = self
+            .pool_pairs
+            .iter()
+            .copied()
+            .filter(|(p, d)| !down[p.0 as usize] && !down[d.0 as usize])
+            .collect();
+        self.in_colocated = vec![false; n];
+        for t in &self.colocated {
+            self.in_colocated[t.0 as usize] = true;
+        }
+        self.pairs_of = vec![Vec::new(); n];
+        for (pos, &(p, d)) in self.pairs.iter().enumerate() {
+            self.pairs_of[p.0 as usize].push(pos as u32);
+            self.pairs_of[d.0 as usize].push(pos as u32);
+        }
+        let loads = &self.loads;
+        self.colocated_by_load = self
+            .colocated
+            .iter()
+            .map(|&t| (loads[t.0 as usize], t))
+            .collect();
+        self.pairs_by_load = self
+            .pairs
+            .iter()
+            .enumerate()
+            .map(|(pos, &(p, d))| (loads[p.0 as usize].max(loads[d.0 as usize]), p, pos as u32))
+            .collect();
+    }
+
+    /// Records TE `te`'s current load. TEs outside the pool are ignored.
+    pub fn set_load(&mut self, te: TeId, load: usize) {
+        let i = te.0 as usize;
+        let Some(&old) = self.loads.get(i) else {
+            return;
+        };
+        if old == load {
+            return;
+        }
+        let LoadIndex {
+            loads,
+            pairs,
+            in_colocated,
+            pairs_of,
+            colocated_by_load,
+            pairs_by_load,
+            ..
+        } = self;
+        let pair_key = |loads: &[usize], pos: u32| {
+            let (p, d) = pairs[pos as usize];
+            (loads[p.0 as usize].max(loads[d.0 as usize]), p, pos)
+        };
+        if in_colocated[i] {
+            colocated_by_load.remove(&(old, te));
+            colocated_by_load.insert((load, te));
+        }
+        for &pos in &pairs_of[i] {
+            pairs_by_load.remove(&pair_key(loads, pos));
+        }
+        loads[i] = load;
+        for &pos in &pairs_of[i] {
+            pairs_by_load.insert(pair_key(loads, pos));
+        }
+    }
+
+    /// Bars TE `te` from scheduling (`down`) or re-admits it. A pair is
+    /// routable only while both halves are up. TEs outside the pool are
+    /// ignored.
+    pub fn set_down(&mut self, te: TeId, down: bool) {
+        let Some(flag) = self.down.get_mut(te.0 as usize) else {
+            return;
+        };
+        if *flag != down {
+            *flag = down;
+            self.reindex();
+        }
+    }
+
+    /// Whether no target is routable.
+    pub fn is_empty(&self) -> bool {
+        self.colocated.is_empty() && self.pairs.is_empty()
+    }
+
+    /// `(lowest, highest)` load in a subgroup; `None` when it has no
+    /// routable target.
+    fn load_range(&self, kind: Kind) -> Option<(usize, usize)> {
+        match kind {
+            Kind::Colocated => Some((
+                self.colocated_by_load.first()?.0,
+                self.colocated_by_load.last()?.0,
+            )),
+            Kind::Disaggregated => {
+                Some((self.pairs_by_load.first()?.0, self.pairs_by_load.last()?.0))
+            }
+        }
+    }
+
+    fn pair_target(&self, pos: u32) -> Target {
+        let (prefill, decode) = self.pairs[pos as usize];
+        Target::Disaggregated { prefill, decode }
+    }
+
+    /// Least-loaded target of a subgroup, ties to the lower TeId, then
+    /// the earlier pair.
+    fn least_loaded(&self, kind: Kind) -> Option<Target> {
+        match kind {
+            Kind::Colocated => self
+                .colocated_by_load
+                .first()
+                .map(|&(_, t)| Target::Colocated(t)),
+            Kind::Disaggregated => self
+                .pairs_by_load
+                .first()
+                .map(|&(_, _, pos)| self.pair_target(pos)),
+        }
+    }
+
+    /// Least-loaded target of the whole pool: colocated TEs come first in
+    /// the pool's order, so they win ties against a pair keyed the same.
+    fn least_loaded_any(&self) -> Option<Target> {
+        match (self.colocated_by_load.first(), self.pairs_by_load.first()) {
+            (Some(&(l, t)), Some(&(pl, p, _))) if (l, t) <= (pl, p) => Some(Target::Colocated(t)),
+            (Some(&(_, t)), None) => Some(Target::Colocated(t)),
+            (_, Some(&(_, _, pos))) => Some(self.pair_target(pos)),
+            (None, None) => None,
+        }
+    }
+
+    /// `select_tes_prefix_match`: the subgroup target with the longest
+    /// prompt-tree match, with its length. Ties go to the lower TeId; a
+    /// prefill TE heading several pairs stands for the last of them.
+    /// Walks only the match map (TEs that matched), not the pool.
+    fn best_match(&self, kind: Kind, matches: &BTreeMap<TeId, usize>) -> Option<(Target, usize)> {
+        let mut best: Option<(Target, usize)> = None;
+        // Ascending TeId with a strict `>`: the first of equal matches
+        // (the lowest TeId) stays.
+        for (&te, &tokens) in matches {
+            let i = te.0 as usize;
+            let target = match kind {
+                Kind::Colocated if self.in_colocated.get(i) == Some(&true) => Target::Colocated(te),
+                Kind::Colocated => continue,
+                Kind::Disaggregated => {
+                    let last = self.pairs_of.get(i).and_then(|ps| {
+                        ps.iter()
+                            .rev()
+                            .find(|&&pos| self.pairs[pos as usize].0 == te)
+                    });
+                    match last {
+                        Some(&pos) => self.pair_target(pos),
+                        None => continue,
+                    }
+                }
+            };
+            if best.is_none_or(|(_, b)| tokens > b) {
+                best = Some((target, tokens));
+            }
+        }
+        best
+    }
 }
 
 /// The scheduling outcome, with the intermediate signals for
 /// observability/benchmarks.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// Where to run.
     pub target: Target,
@@ -130,6 +337,11 @@ pub struct Decision {
     pub heat: f64,
     /// Prompt-tree match length at the chosen locality TE, in tokens.
     pub matched_tokens: usize,
+}
+
+/// Prompt-tree match length of `target`'s locality TE in `matches`.
+fn matched_at(matches: &BTreeMap<TeId, usize>, target: Target) -> usize {
+    matches.get(&target.locality_te()).copied().unwrap_or(0)
 }
 
 /// The model-serving Job Executor.
@@ -152,12 +364,10 @@ pub struct JobExecutor {
     /// must not pile the whole workload onto a saturated subgroup.
     pub overload_factor: f64,
     rr_cursor: usize,
-    /// TEs removed from service (failed or scaled down). Scheduling
-    /// filters these out of the caller's pool, so a stale pool snapshot
-    /// can never route to a removed TE.
+    /// TEs removed from service (failed or scaled down). [`Self::schedule`]
+    /// leaves these out of the caller's pool, so a stale pool snapshot can
+    /// never route to a removed TE.
     removed: BTreeSet<TeId>,
-    /// Lazily maintained removed-TE filtering of the last pool snapshot.
-    filtered_cache: Option<FilteredPool>,
     counters: Counters,
     tracer: Tracer,
 }
@@ -180,7 +390,6 @@ impl JobExecutor {
             overload_factor: 2.0,
             rr_cursor: 0,
             removed: BTreeSet::new(),
-            filtered_cache: None,
             counters: Counters::new(),
             tracer: Tracer::disabled(),
         }
@@ -232,7 +441,6 @@ impl JobExecutor {
         self.tree_colocated.remove_te(te);
         self.tree_prefill.remove_te(te);
         self.removed.insert(te);
-        self.filtered_cache = None;
         self.counters.incr("je.te_removed");
     }
 
@@ -240,7 +448,6 @@ impl JobExecutor {
     /// empty (a replaced TE holds no cache).
     pub fn note_te_added(&mut self, te: TeId) {
         self.removed.remove(&te);
-        self.filtered_cache = None;
         self.counters.incr("je.te_added");
     }
 
@@ -270,71 +477,44 @@ impl JobExecutor {
         Some(te)
     }
 
-    /// Algorithm 1 entry point.
+    /// Algorithm 1 over a caller-built pool snapshot: indexes the pool
+    /// minus removed TEs (a `loads` entry missing from the map reads as
+    /// load 0) and runs [`JobExecutor::schedule_indexed`].
     ///
     /// # Panics
     ///
-    /// Panics if the pool is empty.
+    /// Panics if no pool target survives the removed-TE filter.
     pub fn schedule(&mut self, now: SimTime, req: &ApiRequest, pool: &SchedPool) -> Decision {
-        // Filter removed TEs out of the caller's (possibly stale) pool
-        // snapshot so scheduling can never return a dead target. The
-        // filtered lists are cached and revalidated against the caller's
-        // lists, so the steady state does one Vec comparison per call —
-        // never a rebuild, and never a `loads` clone (loads are always
-        // borrowed live from the caller).
-        let cache = if self.removed.is_empty() {
-            None
-        } else {
-            let mut cache = self.filtered_cache.take();
-            let valid = cache
-                .as_ref()
-                .is_some_and(|c| c.key_colocated == pool.colocated && c.key_pairs == pool.pairs);
-            if !valid {
-                self.counters.incr("je.filtered_pool_rebuilds");
-                cache = Some(FilteredPool {
-                    key_colocated: pool.colocated.clone(),
-                    key_pairs: pool.pairs.clone(),
-                    colocated: pool
-                        .colocated
-                        .iter()
-                        .copied()
-                        .filter(|t| !self.removed.contains(t))
-                        .collect(),
-                    pairs: pool
-                        .pairs
-                        .iter()
-                        .copied()
-                        .filter(|(p, d)| !self.removed.contains(p) && !self.removed.contains(d))
-                        .collect(),
-                });
-            }
-            cache
-        };
-        let view = match &cache {
-            Some(c) => PoolView {
-                colocated: &c.colocated,
-                pairs: &c.pairs,
-                loads: &pool.loads,
-            },
-            None => PoolView {
-                colocated: &pool.colocated,
-                pairs: &pool.pairs,
-                loads: &pool.loads,
-            },
-        };
-        assert!(
-            !view.colocated.is_empty() || !view.pairs.is_empty(),
-            "dist_sched: empty TE pool"
+        let index = LoadIndex::build(
+            &pool.colocated,
+            &pool.pairs,
+            |t| self.removed.contains(&t),
+            |t| pool.loads.get(&t).map_or(0, |s| s.load),
         );
+        self.schedule_indexed(now, req, &index)
+    }
+
+    /// Algorithm 1 entry point, against a load index the caller keeps
+    /// current (the cluster's dispatch path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index has no routable target.
+    pub fn schedule_indexed(
+        &mut self,
+        now: SimTime,
+        req: &ApiRequest,
+        index: &LoadIndex,
+    ) -> Decision {
+        assert!(!index.is_empty(), "dist_sched: empty TE pool");
         let predicted = self.predictor.predict(req);
         let decision = match self.policy {
-            Policy::RoundRobin => self.round_robin(req, view, predicted),
-            Policy::LoadAware => self.load_only(req, view, predicted),
-            Policy::LocalityAware => self.locality_only(req, view, predicted),
-            Policy::PdAware => self.pd_then_load(req, view, predicted),
-            Policy::Combined => self.combined(req, view, predicted),
+            Policy::RoundRobin => self.round_robin(req, index, predicted),
+            Policy::LoadAware => self.load_only(req, index, predicted),
+            Policy::LocalityAware => self.locality_only(req, index, predicted),
+            Policy::PdAware => self.pd_then_load(req, index, predicted),
+            Policy::Combined => self.combined(req, index, predicted),
         };
-        self.filtered_cache = cache;
         if self.tracer.is_enabled() {
             let policy = match self.policy {
                 Policy::RoundRobin => "round_robin",
@@ -366,126 +546,123 @@ impl JobExecutor {
 
     // ---- policies ----
 
-    fn round_robin(&mut self, req: &ApiRequest, pool: PoolView<'_>, predicted: u32) -> Decision {
-        let slots = pool.colocated.len() + pool.pairs.len();
+    fn round_robin(&mut self, req: &ApiRequest, ix: &LoadIndex, predicted: u32) -> Decision {
+        let slots = ix.colocated.len() + ix.pairs.len();
         let slot = self.rr_cursor % slots;
         self.rr_cursor += 1;
-        let target = if slot < pool.colocated.len() {
-            Target::Colocated(pool.colocated[slot])
+        let target = if slot < ix.colocated.len() {
+            Target::Colocated(ix.colocated[slot])
         } else {
-            let (p, d) = pool.pairs[slot - pool.colocated.len()];
-            Target::Disaggregated {
-                prefill: p,
-                decode: d,
-            }
+            ix.pair_target((slot - ix.colocated.len()) as u32)
         };
         self.counters.incr("je.rr");
-        Decision {
-            target,
-            predicted_decode: predicted,
-            heat: 0.0,
-            matched_tokens: self.match_at(req, target),
-        }
+        self.decide(req, target, predicted, 0.0)
     }
 
-    fn load_only(&mut self, req: &ApiRequest, pool: PoolView<'_>, predicted: u32) -> Decision {
-        let target = self.least_loaded_any(pool);
+    fn load_only(&mut self, req: &ApiRequest, ix: &LoadIndex, predicted: u32) -> Decision {
+        let target = least_loaded(ix, None);
         self.counters.incr("je.load");
-        Decision {
-            target,
-            predicted_decode: predicted,
-            heat: 0.0,
-            matched_tokens: self.match_at(req, target),
-        }
+        self.decide(req, target, predicted, 0.0)
     }
 
-    fn locality_only(&mut self, req: &ApiRequest, pool: PoolView<'_>, predicted: u32) -> Decision {
-        let target = self
-            .best_locality(req, pool, /*colocated=*/ true)
-            .or_else(|| self.best_locality(req, pool, false))
-            .unwrap_or_else(|| self.least_loaded_any(pool));
+    /// Longest colocated match, else longest prefill match, else least
+    /// loaded. Walks the prefill tree only when no colocated TE matched.
+    fn locality_only(&mut self, req: &ApiRequest, ix: &LoadIndex, predicted: u32) -> Decision {
+        let coloc = self.tree_colocated.match_tokens(&req.prompt);
+        let (target, matched_tokens) = ix
+            .best_match(Kind::Colocated, &coloc)
+            .or_else(|| {
+                let prefill = self.tree_prefill.match_tokens(&req.prompt);
+                ix.best_match(Kind::Disaggregated, &prefill)
+            })
+            // No routable TE of either type matched, so the fallback's
+            // locality TE matches nothing either.
+            .unwrap_or_else(|| (least_loaded(ix, None), 0));
         self.counters.incr("je.locality");
         Decision {
             target,
             predicted_decode: predicted,
             heat: 0.0,
-            matched_tokens: self.match_at(req, target),
+            matched_tokens,
         }
     }
 
-    fn pd_then_load(&mut self, req: &ApiRequest, pool: PoolView<'_>, predicted: u32) -> Decision {
-        let (subgroup, heat) = self.select_tes_pd_heatmap(req, pool, predicted);
-        let target = self.least_loaded_in(pool, &subgroup);
+    fn pd_then_load(&mut self, req: &ApiRequest, ix: &LoadIndex, predicted: u32) -> Decision {
+        let (kind, heat) = self.select_tes_pd_heatmap(req, ix, predicted);
+        let target = least_loaded(ix, Some(kind));
         self.counters.incr("je.pd");
-        Decision {
-            target,
-            predicted_decode: predicted,
-            heat,
-            matched_tokens: self.match_at(req, target),
-        }
+        self.decide(req, target, predicted, heat)
     }
 
     /// Algorithm 1: PD-aware narrows the group; balanced -> locality,
-    /// imbalanced -> load.
-    fn combined(&mut self, req: &ApiRequest, pool: PoolView<'_>, predicted: u32) -> Decision {
-        let (subgroup, heat) = self.select_tes_pd_heatmap(req, pool, predicted);
-        let target = if self.is_load_balanced(pool, &subgroup) {
+    /// imbalanced -> load. One prompt-tree walk, of the chosen subgroup's
+    /// tree, serves both the locality choice and `matched_tokens`.
+    fn combined(&mut self, req: &ApiRequest, ix: &LoadIndex, predicted: u32) -> Decision {
+        let (kind, heat) = self.select_tes_pd_heatmap(req, ix, predicted);
+        let matches = self.tree(kind).match_tokens(&req.prompt);
+        // `is_load_balanced`: the subgroup's load spread is within the
+        // threshold.
+        let balanced = ix
+            .load_range(kind)
+            .is_none_or(|(min, max)| max - min <= self.balance_threshold);
+        let target = if balanced {
             self.counters.incr("je.combined_locality");
-            self.select_tes_prefix_match(req, &subgroup)
-                .unwrap_or_else(|| self.least_loaded_in(pool, &subgroup))
+            ix.best_match(kind, &matches)
+                .map_or_else(|| least_loaded(ix, Some(kind)), |(t, _)| t)
         } else {
             self.counters.incr("je.combined_load");
-            self.least_loaded_in(pool, &subgroup)
+            least_loaded(ix, Some(kind))
         };
         Decision {
             target,
             predicted_decode: predicted,
             heat,
-            matched_tokens: self.match_at(req, target),
+            matched_tokens: matched_at(&matches, target),
         }
     }
 
     // ---- Algorithm 1 helpers ----
 
+    fn tree(&self, kind: Kind) -> &GlobalPromptTree {
+        match kind {
+            Kind::Colocated => &self.tree_colocated,
+            Kind::Disaggregated => &self.tree_prefill,
+        }
+    }
+
+    /// A decision for a target chosen without consulting the prompt
+    /// trees: walks the target's tree once for `matched_tokens`.
+    fn decide(&self, req: &ApiRequest, target: Target, predicted: u32, heat: f64) -> Decision {
+        let kind = match target {
+            Target::Colocated(_) => Kind::Colocated,
+            Target::Disaggregated { .. } => Kind::Disaggregated,
+        };
+        Decision {
+            target,
+            predicted_decode: predicted,
+            heat,
+            matched_tokens: matched_at(&self.tree(kind).match_tokens(&req.prompt), target),
+        }
+    }
+
     /// `select_tes_PD_heatmap`: positive cell -> disaggregated pairs,
     /// negative -> colocated; falls back when the preferred type has no
-    /// instances. Returns candidate targets plus the cell value.
+    /// instances. Returns the chosen (non-empty) subgroup plus the cell
+    /// value.
     fn select_tes_pd_heatmap(
         &mut self,
         req: &ApiRequest,
-        pool: PoolView<'_>,
+        ix: &LoadIndex,
         predicted: u32,
-    ) -> (Vec<Target>, f64) {
+    ) -> (Kind, f64) {
         let heat = self.heatmap.lookup(req.prefill_len(), predicted);
         let mut prefer_disagg = heat >= 0.0;
-        let disagg: Vec<Target> = pool
-            .pairs
-            .iter()
-            .map(|&(p, d)| Target::Disaggregated {
-                prefill: p,
-                decode: d,
-            })
-            .collect();
-        let coloc: Vec<Target> = pool
-            .colocated
-            .iter()
-            .map(|&t| Target::Colocated(t))
-            .collect();
+        let min_disagg = ix.load_range(Kind::Disaggregated).map(|r| r.0);
+        let min_coloc = ix.load_range(Kind::Colocated).map(|r| r.0);
         // Overload spill-over: override a static preference whose best
         // target is drowning while the other type has headroom.
-        if !disagg.is_empty() && !coloc.is_empty() {
-            let min_disagg = pool
-                .pairs
-                .iter()
-                .map(|&p| pool.pair_load(p))
-                .min()
-                .unwrap_or(0) as f64;
-            let min_coloc = pool
-                .colocated
-                .iter()
-                .map(|&t| pool.load(t))
-                .min()
-                .unwrap_or(0) as f64;
+        if let (Some(min_disagg), Some(min_coloc)) = (min_disagg, min_coloc) {
+            let (min_disagg, min_coloc) = (min_disagg as f64, min_coloc as f64);
             let thresh = self.balance_threshold as f64;
             if prefer_disagg && min_disagg > self.overload_factor * min_coloc + thresh {
                 prefer_disagg = false;
@@ -495,123 +672,30 @@ impl JobExecutor {
                 self.counters.incr("je.heatmap_overridden");
             }
         }
-        let chosen = if prefer_disagg && !disagg.is_empty() {
+        let (has_disagg, has_coloc) = (min_disagg.is_some(), min_coloc.is_some());
+        let kind = if prefer_disagg && has_disagg {
             self.counters.incr("je.heatmap_disagg");
-            disagg
-        } else if !prefer_disagg && !coloc.is_empty() {
+            Kind::Disaggregated
+        } else if !prefer_disagg && has_coloc {
             self.counters.incr("je.heatmap_coloc");
-            coloc
-        } else if !coloc.is_empty() {
-            coloc
+            Kind::Colocated
+        } else if has_coloc {
+            Kind::Colocated
         } else {
-            disagg
+            Kind::Disaggregated
         };
-        (chosen, heat)
+        (kind, heat)
     }
+}
 
-    /// `select_tes_prefix_match`: longest global-prompt-tree match within
-    /// the subgroup; `None` when nothing matches.
-    fn select_tes_prefix_match(&self, req: &ApiRequest, subgroup: &[Target]) -> Option<Target> {
-        let coloc_matches = self.tree_colocated.match_tokens(&req.prompt);
-        let prefill_matches = self.tree_prefill.match_tokens(&req.prompt);
-        subgroup
-            .iter()
-            .filter_map(|&t| {
-                let m = match t {
-                    Target::Colocated(te) => coloc_matches.get(&te).copied(),
-                    Target::Disaggregated { prefill, .. } => prefill_matches.get(&prefill).copied(),
-                };
-                m.map(|tokens| (t, tokens))
-            })
-            .max_by(|a, b| {
-                a.1.cmp(&b.1)
-                    .then_with(|| b.0.locality_te().cmp(&a.0.locality_te()))
-            })
-            .map(|(t, _)| t)
+/// Least-loaded target of subgroup `kind` (`None`: the whole pool).
+fn least_loaded(ix: &LoadIndex, kind: Option<Kind>) -> Target {
+    match kind {
+        Some(kind) => ix.least_loaded(kind),
+        None => ix.least_loaded_any(),
     }
-
-    fn is_load_balanced(&self, pool: PoolView<'_>, subgroup: &[Target]) -> bool {
-        let loads: Vec<usize> = subgroup
-            .iter()
-            .map(|&t| match t {
-                Target::Colocated(te) => pool.load(te),
-                Target::Disaggregated { prefill, decode } => pool.pair_load((prefill, decode)),
-            })
-            .collect();
-        match (loads.iter().max(), loads.iter().min()) {
-            (Some(&max), Some(&min)) => max - min <= self.balance_threshold,
-            _ => true,
-        }
-    }
-
-    fn least_loaded_in(&self, pool: PoolView<'_>, subgroup: &[Target]) -> Target {
-        *subgroup
-            .iter()
-            .min_by_key(|&&t| match t {
-                Target::Colocated(te) => (pool.load(te), te),
-                Target::Disaggregated { prefill, decode } => {
-                    (pool.pair_load((prefill, decode)), prefill)
-                }
-            })
-            // detlint: allow(panic) — subgroups are built by partitioning a non-empty pool; an empty subgroup cannot reach this selector
-            .expect("subgroup is non-empty by construction")
-    }
-
-    fn least_loaded_any(&self, pool: PoolView<'_>) -> Target {
-        let mut all: Vec<Target> = pool
-            .colocated
-            .iter()
-            .map(|&t| Target::Colocated(t))
-            .collect();
-        all.extend(pool.pairs.iter().map(|&(p, d)| Target::Disaggregated {
-            prefill: p,
-            decode: d,
-        }));
-        self.least_loaded_in(pool, &all)
-    }
-
-    fn best_locality(
-        &self,
-        req: &ApiRequest,
-        pool: PoolView<'_>,
-        colocated: bool,
-    ) -> Option<Target> {
-        if colocated {
-            let m = self.tree_colocated.match_tokens(&req.prompt);
-            pool.colocated
-                .iter()
-                .filter_map(|&te| m.get(&te).map(|&tok| (te, tok)))
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-                .map(|(te, _)| Target::Colocated(te))
-        } else {
-            let m = self.tree_prefill.match_tokens(&req.prompt);
-            pool.pairs
-                .iter()
-                .filter_map(|&(p, d)| m.get(&p).map(|&tok| ((p, d), tok)))
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| (b.0).0.cmp(&(a.0).0)))
-                .map(|((p, d), _)| Target::Disaggregated {
-                    prefill: p,
-                    decode: d,
-                })
-        }
-    }
-
-    fn match_at(&self, req: &ApiRequest, target: Target) -> usize {
-        match target {
-            Target::Colocated(te) => self
-                .tree_colocated
-                .match_tokens(&req.prompt)
-                .get(&te)
-                .copied()
-                .unwrap_or(0),
-            Target::Disaggregated { prefill, .. } => self
-                .tree_prefill
-                .match_tokens(&req.prompt)
-                .get(&prefill)
-                .copied()
-                .unwrap_or(0),
-        }
-    }
+    // detlint: allow(panic) — callers pass a non-empty pool (`schedule_indexed` asserts it) or a subgroup `select_tes_pd_heatmap` chose for being non-empty
+    .expect("subgroup is non-empty by construction")
 }
 
 #[cfg(test)]

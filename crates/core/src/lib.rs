@@ -50,7 +50,7 @@ pub use cluster::{
 };
 pub use fleet::{fleet_catalog, ColdStartMode, FleetConfig, LoadState, ModelEntry, ModelRegistry};
 pub use heatmap::Heatmap;
-pub use je::{Decision, JobExecutor, Policy, SchedPool, Target, TeSnapshot};
+pub use je::{Decision, JobExecutor, LoadIndex, Policy, SchedPool, Target, TeSnapshot};
 pub use manager::{
     AutoscaleSignal, Autoscaler, AutoscalerConfig, HealthConfig, HealthMonitor, PodPool,
     PreloadManager, ScaleAction, TePool,
