@@ -12,14 +12,14 @@
 //!
 //! For each mode the sweep reports the cold-start latency distribution,
 //! queued-request cold-wait, per-tier SLA attainment, tier load counts and
-//! eviction/replica churn — and re-runs the identical configuration on a
-//! 4-thread worker pool to check the report is byte-identical (the
+//! eviction/replica churn — and re-runs the identical configuration with
+//! fast-forward off to check the report is byte-identical (the
 //! determinism contract extends to the fleet layer).
 //!
 //! Run: `cargo run --release -p deepserve-bench --bin fleet_sweep`
 //! CI:  `cargo run --release -p deepserve-bench --bin fleet_sweep -- --smoke`
 //!
-//! Exits non-zero unless every mode's thread-1 and thread-4 reports match
+//! Exits non-zero unless every mode's fast-forward and single-step reports match
 //! AND both hierarchy modes beat the pre-warm-miss baseline's mean cold
 //! start. A full run snapshots results to `BENCH_fleet.json` at the repo
 //! root.
@@ -63,7 +63,7 @@ struct Row {
     evictions: u64,
     replicas_added: u64,
     makespan_s: f64,
-    /// Thread-1 vs thread-4 reports byte-identical.
+    /// Fast-forward vs single-step reports byte-identical.
     reports_identical: bool,
 }
 
@@ -72,7 +72,7 @@ struct ModeOut {
     report_json: String,
 }
 
-fn run_mode(mode: ColdStartMode, models: usize, n_reqs: usize, threads: usize) -> ModeOut {
+fn run_mode(mode: ColdStartMode, models: usize, n_reqs: usize, fast_forward: bool) -> ModeOut {
     let mut rng = SimRng::seed_from_u64(2026);
     let specs = FleetTrace::skewed(models, 6.0).generate(&mut rng, n_reqs);
     let cfg = ClusterConfig {
@@ -82,7 +82,7 @@ fn run_mode(mode: ColdStartMode, models: usize, n_reqs: usize, threads: usize) -
     };
     let roles = vec![TeRole::Colocated; 8];
     let mut sim = ClusterSim::new(cfg, &roles);
-    sim.set_threads(threads);
+    sim.set_fast_forward(fast_forward);
     sim.enable_fleet(
         fleet_catalog(models),
         FleetConfig {
@@ -230,10 +230,10 @@ fn main() {
         ColdStartMode::Hierarchy,
         ColdStartMode::HierarchyMulticast,
     ] {
-        let seq = run_mode(mode, models, n_reqs, 1);
-        let par = run_mode(mode, models, n_reqs, 4);
-        let mut row = seq.row;
-        row.reports_identical = seq.report_json == par.report_json;
+        let ff = run_mode(mode, models, n_reqs, true);
+        let single = run_mode(mode, models, n_reqs, false);
+        let mut row = ff.row;
+        row.reports_identical = ff.report_json == single.report_json;
         all_identical &= row.reports_identical;
         print_row(&row);
         rows.push(row);
@@ -259,7 +259,7 @@ fn main() {
     write_json("fleet_sweep", &sweep);
 
     if !all_identical {
-        eprintln!("FAIL: a fleet run diverged between 1 and 4 worker threads");
+        eprintln!("FAIL: a fleet run diverged between fast-forward and single-step");
         std::process::exit(1);
     }
     if !(hierarchy_beats && multicast_beats) {
@@ -267,7 +267,7 @@ fn main() {
         std::process::exit(1);
     }
     if smoke {
-        println!("\nsmoke OK: reports identical at 1 vs 4 threads; hierarchy beats pre-warm miss");
+        println!("\nsmoke OK: reports identical fast-forward vs single-step; hierarchy beats pre-warm miss");
         return;
     }
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

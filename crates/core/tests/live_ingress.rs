@@ -1,8 +1,7 @@
 //! Core-level tests for the live-ingress API (`enable_live_ingress` /
-//! `submit_live` / `step_until`) and the `DEEPSERVE_THREADS` parser the
-//! gateway's serve loop relies on.
+//! `submit_live` / `step_until`) the gateway's serve loop relies on.
 
-use deepserve::{parse_threads, ApiRequest, ClusterConfig, ClusterSim, LiveEvent, TeRole};
+use deepserve::{ApiRequest, ClusterConfig, ClusterSim, LiveEvent, TeRole};
 use flowserve::{synthetic_tokens, CacheId};
 use simcore::{SimDuration, SimTime};
 
@@ -15,25 +14,6 @@ fn sim() -> ClusterSim {
 
 fn req(id: u64, at: SimTime) -> ApiRequest {
     ApiRequest::chat(id, synthetic_tokens(id, 96, 64_000), 4, at)
-}
-
-#[test]
-fn parse_threads_accepts_positive_integers() {
-    assert_eq!(parse_threads("1"), Ok(1));
-    assert_eq!(parse_threads(" 8 "), Ok(8));
-    assert_eq!(parse_threads(""), Ok(1));
-    assert_eq!(parse_threads("   "), Ok(1));
-}
-
-#[test]
-fn parse_threads_rejects_garbage_with_a_diagnostic() {
-    for bad in ["0", "-2", "fourr", "1.5", "8x", "NaN"] {
-        let err = parse_threads(bad).expect_err(bad);
-        assert!(
-            err.contains("DEEPSERVE_THREADS") && err.contains(bad),
-            "diagnostic must name the variable and the bad value: {err}"
-        );
-    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError}; // detlint: allow(raw-sync) — fixture: the lock-order subject needs real locks
 
 pub struct Pair {
     a: Mutex<u32>,

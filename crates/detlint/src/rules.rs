@@ -11,7 +11,7 @@
 //! | `rng`           | randomness flows only through `simcore::SimRng`                |
 //! | `panic`         | library code degrades gracefully instead of panicking          |
 //! | `unsafe`        | every `unsafe` block justifies itself with a `// SAFETY:` note |
-//! | `raw-sync`      | `std::sync` primitives stay inside the model-checked surface   |
+//! | `raw-sync`      | no raw `std::sync` primitives in the single-threaded simulator |
 //! | `lock-order`    | no nested lock acquisition without a written lock order        |
 //!
 //! A site can be waived with an inline comment carrying a written
@@ -55,34 +55,15 @@ pub const REPORT_CRATES: [&str; 7] = [
     "gateway",
 ];
 
-/// The modules allowed to spawn threads: the cluster coordinator, the
-/// persistent worker pool it dispatches waves into, and the detcheck
-/// scheduler (which owns every OS thread a model run creates).
-pub const THREAD_ALLOWED: [&str; 3] = [
-    "crates/core/src/cluster.rs",
-    "crates/core/src/pool.rs",
-    "crates/detcheck/src/sched.rs",
-];
-
-/// The files allowed to name `std::sync` primitives directly: the shim
-/// swap points that compile against either std or the detcheck scheduler.
-/// Everything else must go through `simcore::sync` / `detcheck::sync` so
-/// the model checker sees every lock, wait, notify and channel op. The
-/// detcheck crate's own src tree (the shim implementation) is also
-/// exempt — see [`raw_sync_allowed`].
-pub const RAW_SYNC_ALLOWED: [&str; 2] = ["crates/simcore/src/sync.rs", "crates/core/src/pool.rs"];
+/// The modules allowed to spawn threads: the cluster coordinator.
+pub const THREAD_ALLOWED: [&str; 1] = ["crates/core/src/cluster.rs"];
 
 /// `std::sync` members that carry synchronization semantics. `Arc` and
 /// `PoisonError` are deliberately absent: sharing and poison handling are
-/// inert, it is blocking/ordering primitives the model checker must own.
+/// inert, it is blocking/ordering primitives that need a written reason.
 const RAW_SYNC_TYPES: [&str; 8] = [
     "Mutex", "RwLock", "Condvar", "Barrier", "OnceLock", "Once", "mpsc", "atomic",
 ];
-
-/// Whether a workspace-relative path may use raw `std::sync` primitives.
-pub fn raw_sync_allowed(rel: &str) -> bool {
-    RAW_SYNC_ALLOWED.contains(&rel) || rel.starts_with("crates/detcheck/src/")
-}
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -121,8 +102,8 @@ pub struct Scope {
     pub d1: bool,
     /// `wall-clock` (everywhere but `crates/bench`).
     pub d2: bool,
-    /// `thread` (everywhere but the cluster coordinator and its worker
-    /// pool, [`THREAD_ALLOWED`]).
+    /// `thread` (everywhere but the cluster coordinator,
+    /// [`THREAD_ALLOWED`]).
     pub d3: bool,
     /// `rng` (everywhere).
     pub d4: bool,
@@ -130,11 +111,10 @@ pub struct Scope {
     pub d5: bool,
     /// `unsafe` (everywhere, including tests).
     pub d6: bool,
-    /// `raw-sync` (everywhere but the shim swap points,
-    /// [`raw_sync_allowed`]).
+    /// `raw-sync` (everywhere).
     pub d7: bool,
-    /// `lock-order` (only *inside* the raw-sync surface — that is where
-    /// real locks live, so that is where nesting can deadlock).
+    /// `lock-order` (everywhere: a file that waives `raw-sync` still gets
+    /// its lock nesting checked).
     pub d8: bool,
     /// Whole file is test code (`tests/`, `benches/` directories).
     pub test_file: bool,
@@ -156,8 +136,8 @@ impl Scope {
             d4: !test_file,
             d5: in_report_crate && !test_file,
             d6: true,
-            d7: !raw_sync_allowed(rel) && !test_file,
-            d8: raw_sync_allowed(rel) && !test_file,
+            d7: !test_file,
+            d8: !test_file,
             test_file,
         }
     }
@@ -701,10 +681,8 @@ pub fn check_file(rel: &str, file: &LexedFile, scope: Scope) -> FileReport {
                             idx,
                             "raw-sync",
                             format!(
-                                "`std::sync::{t}`: raw sync primitives live only in {}, \
-                                 crates/detcheck/src/ — everything else goes through the \
-                                 detcheck-shimmed layer",
-                                RAW_SYNC_ALLOWED.join(", ")
+                                "`std::sync::{t}`: the simulator is single-threaded — \
+                                 waive with the reason a raw sync primitive is needed"
                             ),
                         ));
                         break;
@@ -814,7 +792,7 @@ pub fn check_file(rel: &str, file: &LexedFile, scope: Scope) -> FileReport {
     }
 }
 
-/// D8 — lock-order: within the raw-sync surface, flag a `.lock(` while a
+/// D8 — lock-order: flag a `.lock(` while a
 /// guard from an earlier `let … = ….lock(…)` on a previous line is still
 /// live. A guard dies when its enclosing block closes or on an explicit
 /// `drop(name)`. This is a conservative line-oriented heuristic (a
