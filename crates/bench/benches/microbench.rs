@@ -10,7 +10,7 @@ use deepserve::{GlobalPromptTree, Heatmap, TeId};
 use flowserve::block::BlockPool;
 use flowserve::rtc::{Rtc, RtcConfig};
 use flowserve::{synthetic_tokens, Tokenizer};
-use simcore::{EventQueue, SharedLink, SimDuration, SimTime};
+use simcore::{EventQueue, SharedLink, SimDuration, SimRng, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue/push_pop_1k", |b| {
@@ -27,6 +27,30 @@ fn bench_event_queue(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // The cluster's shape: one pending local-lane wake per producer (TE)
+    // plus one default-lane event, cycled pop -> push-back while reading
+    // the fast-forward horizon on every pop. One iteration is one cycle.
+    for producers in [256u32, 1024] {
+        let mut rng = SimRng::seed_from_u64(0xE7E7);
+        let gap = |rng: &mut SimRng| SimDuration::from_secs_f64(rng.exp(1.0 / 0.03));
+        let mut q = EventQueue::new();
+        for p in 0..producers {
+            q.push_local(SimTime::ZERO + gap(&mut rng), p);
+        }
+        q.push(SimTime::ZERO + gap(&mut rng), producers);
+        c.bench_function(&format!("event_queue/lanes_{producers}"), |b| {
+            b.iter(|| {
+                let (t, p) = q.pop().expect("queue never drains");
+                black_box(q.horizon());
+                let at = t + gap(&mut rng);
+                if p == producers {
+                    q.push(at, p);
+                } else {
+                    q.push_local(at, p);
+                }
+            })
+        });
+    }
 }
 
 fn bench_block_pool(c: &mut Criterion) {

@@ -109,7 +109,7 @@ impl ApiRequest {
 
 /// One live-ingress event: everything needed to replay a gateway
 /// submission deterministically. The arrival stamp is the *final* one the
-/// sim chose (strictly increasing, collision-free), so `inject`ing the
+/// sim chose (strictly increasing), so `inject`ing the
 /// materialized requests into a fresh sim reproduces the live run
 /// bit-for-bit. Only chat completions flow through the gateway today, so
 /// the endpoint/SLO class is implied rather than recorded.

@@ -29,7 +29,7 @@ use simcore::fault::{FaultEvent, FaultKind, FaultPlan};
 use simcore::trace::{SpanId, Trace, TraceLevel, Tracer};
 use simcore::{
     Clock, Counters, FifoChannel, LatencyStats, MetricsRegistry, SimDuration, SimTime,
-    TimeMultiset, CLASS_ARRIVAL, CLASS_DEFAULT,
+    CLASS_ARRIVAL,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -72,16 +72,13 @@ pub enum LiveEvent {
 /// State for live (gateway-fed) ingress. See the "Serving façade" section
 /// of DESIGN.md for the determinism contract this upholds.
 struct LiveState {
-    /// Every pending event time — a mirror of the queue, maintained by
-    /// `sched`/`note_popped`. Live arrivals are bumped off any occupied
-    /// instant so a (time, seq) tie can never order an arrival differently
-    /// between the live run and its replay.
-    pending: TimeMultiset,
     /// Most recent accepted arrival instant; live arrivals are strictly
-    /// increasing so the replayed workload is sorted and collision-free.
+    /// increasing so the replayed workload is sorted. A same-instant tie
+    /// with any other pending event is settled by `CLASS_ARRIVAL`, which
+    /// orders the live run and its replay alike.
     last_arrival: SimTime,
-    /// The ingress log: every accepted submission with its final (bumped)
-    /// arrival stamp. `inject`ing these into a fresh sim replays the live
+    /// The ingress log: every accepted submission with its final arrival
+    /// stamp. `inject`ing these into a fresh sim replays the live
     /// run bit-for-bit.
     ingress: Vec<IngressRecord>,
     /// Notifications buffered since the last `take_live_events`.
@@ -377,10 +374,6 @@ pub struct ClusterSim {
     /// (macro-stepping). On by default; outcome is bit-identical either
     /// way, only event counts and wall-clock change.
     fast_forward: bool,
-    /// Multiset of pending *horizon-bounding* event times (everything but
-    /// non-prefill `Wake`s). The earliest entry is the horizon handed to
-    /// fast-forwarding engines: no absorption at or past it.
-    horizon_times: TimeMultiset,
     /// Livelock guard: the event loop panics once `events_processed`
     /// reaches this.
     event_budget: u64,
@@ -538,7 +531,6 @@ impl ClusterSim {
             tracer: Tracer::disabled(),
             metrics: MetricsRegistry::new(),
             fast_forward: true,
-            horizon_times: TimeMultiset::new(),
             event_budget: 200_000_000,
             events_processed: 0,
             events_scratch: Vec::new(),
@@ -630,55 +622,27 @@ impl ClusterSim {
         self.events_processed
     }
 
-    /// Whether `ev` bounds the fast-forward horizon. Everything external
-    /// can mutate an engine mid-window (arrivals, populates, fabric
-    /// completions, faults, repairs, health sweeps) — except non-prefill
-    /// `Wake`s, whose handlers only progress their own engine and emit
-    /// events that never touch another TE. Prefill wakes stay bounding:
-    /// a completed prefill starts a KV migration toward a decode TE.
-    fn bounds_horizon(&self, ev: Event) -> bool {
-        match ev {
-            Event::Wake(te) => self.tes[te.0 as usize].role == TeRole::Prefill,
-            _ => true,
-        }
-    }
-
-    /// Schedules `ev`, recording horizon-bounding times in the multiset
-    /// consulted by fast-forwarding engines. All event scheduling must go
-    /// through here (not `clock.schedule`) or fast-forward could absorb
-    /// past an unrecorded interaction.
+    /// Schedules `ev` on the queue lane its kind calls for. All event
+    /// scheduling must go through here (not `clock.schedule`) or
+    /// fast-forward could absorb past an interaction.
+    ///
+    /// Arrivals carry the arrival class so a streamed arrival scheduled
+    /// late (one-lookahead) still wins same-instant ties exactly like its
+    /// materialized twin with a globally-early sequence number would.
+    /// Non-prefill `Wake`s go to the local lane, which the fast-forward
+    /// horizon ignores: their handlers only progress their own engine and
+    /// emit events that never touch another TE. Everything else can mutate
+    /// an engine mid-window (arrivals, populates, fabric completions,
+    /// faults, repairs, health sweeps) and bounds the horizon — prefill
+    /// wakes too, since a completed prefill starts a KV migration toward a
+    /// decode TE.
     fn sched(&mut self, at: SimTime, ev: Event) {
-        if self.bounds_horizon(ev) {
-            self.horizon_times.insert(at);
-        }
-        if let Some(live) = &mut self.live {
-            live.pending.insert(at);
-        }
-        // Shard the queue by producer: each TE's wakes (the bulk of all
-        // traffic) go to a private sub-queue, everything else to shard 0.
-        // Pop order is identical to a single queue — sharding only splits
-        // the heaps. Arrivals carry the arrival class so a streamed
-        // arrival scheduled late (one-lookahead) still wins same-instant
-        // ties exactly like its materialized twin with a globally-early
-        // sequence number would.
-        let (shard, class) = match ev {
-            Event::Wake(te) => (te.0 as usize + 1, CLASS_DEFAULT),
-            Event::Arrival(_) => (0, CLASS_ARRIVAL),
-            _ => (0, CLASS_DEFAULT),
-        };
-        self.clock.schedule_sharded(at, shard, class, ev);
-    }
-
-    /// Bookkeeping for a popped event: drops its horizon-bounding entry
-    /// (and, in live mode, its all-pending-times mirror entry). Every pop
-    /// must pair with this or the horizon would stay pinned at a past
-    /// instant.
-    fn note_popped(&mut self, now: SimTime, ev: Event) {
-        if self.bounds_horizon(ev) {
-            self.horizon_times.remove(now);
-        }
-        if let Some(live) = &mut self.live {
-            live.pending.remove(now);
+        match ev {
+            Event::Arrival(_) => self.clock.schedule_class(at, CLASS_ARRIVAL, ev),
+            Event::Wake(te) if self.tes[te.0 as usize].role != TeRole::Prefill => {
+                self.clock.schedule_local(at, ev)
+            }
+            _ => self.clock.schedule(at, ev),
         }
     }
 
@@ -789,15 +753,14 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// Panics if anything was already scheduled or injected — the live
-    /// pending-times mirror must observe every event from the start.
+    /// Panics if anything was already scheduled or injected — the ingress
+    /// log must record every arrival from the start.
     pub fn enable_live_ingress(&mut self) {
         assert!(
             self.clock.peek_time().is_none() && self.arrivals.is_empty(),
             "enable_live_ingress must be called on a fresh sim"
         );
         self.live = Some(LiveState {
-            pending: TimeMultiset::new(),
             last_arrival: SimTime::ZERO,
             ingress: Vec::new(),
             events: Vec::new(),
@@ -807,11 +770,12 @@ impl ClusterSim {
 
     /// Submits one live request. `req.arrival` is the caller's wall-clock
     /// mapping of "now" in sim time; the sim may move it later — never
-    /// earlier — so that arrivals are strictly increasing, strictly after
-    /// the current instant, and never collide with any pending event time
-    /// (a (time, seq) tie could order live and replay runs differently).
-    /// Returns the final arrival stamp, which is what the ingress log
-    /// records and what a replay will use verbatim.
+    /// earlier — so that arrivals are strictly increasing and strictly
+    /// after the current instant. The stamp may equal another pending
+    /// event's time: arrivals carry `CLASS_ARRIVAL`, which wins that tie in
+    /// the live run and in its replay alike. Returns the final arrival
+    /// stamp, which is what the ingress log records and what a replay will
+    /// use verbatim.
     ///
     /// # Panics
     ///
@@ -833,10 +797,7 @@ impl ClusterSim {
             let Some(live) = self.live.as_mut() else {
                 unreachable!("asserted above");
             };
-            let mut at = req.arrival.max_of(floor).max_of(live.last_arrival + one);
-            while live.pending.contains(at) {
-                at += one;
-            }
+            let at = req.arrival.max_of(floor).max_of(live.last_arrival + one);
             live.last_arrival = at;
             req.arrival = at;
             live.ingress.push(IngressRecord::from_request(&req));
@@ -981,7 +942,6 @@ impl ClusterSim {
             let Some((now, ev)) = self.clock.next() else {
                 break; // unreachable: peek_time above returned Some
             };
-            self.note_popped(now, ev);
             self.handle(now, ev);
             self.events_processed += 1;
             assert!(
@@ -1269,7 +1229,7 @@ impl ClusterSim {
 
     fn current_pacing(&self) -> Pacing {
         if self.fast_forward {
-            let mut horizon = self.horizon_times.min();
+            let mut horizon = self.clock.horizon();
             // Live pacing: clamp absorption to the wall frontier. The
             // fence sits one nanosecond past the limit so an iteration
             // ending exactly at the limit (which `step_until` would still

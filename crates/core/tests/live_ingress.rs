@@ -100,6 +100,35 @@ fn live_run_report_matches_injected_replay() {
 }
 
 #[test]
+fn arrival_on_a_pending_event_instant_keeps_its_stamp() {
+    for ff in [true, false] {
+        let mut live = sim();
+        live.set_fast_forward(ff);
+        live.enable_live_ingress();
+        live.submit_live(req(1, SimTime::ZERO));
+        // Stop while request 1 is still running: the next pending event is
+        // its engine wake, not an arrival.
+        live.step_until(SimTime::ZERO + SimDuration::from_millis(1));
+        let busy = live.next_event_time().expect("request 1 still running");
+        // An arrival requested on that very instant keeps it: the arrival
+        // class settles the tie, so there is no reason to move the stamp.
+        let at = live.submit_live(req(2, busy));
+        assert_eq!(at, busy, "ff={ff}: stamp must not be nudged");
+        let log = live.ingress_log().to_vec();
+        let live_json = live.run_to_completion().to_json().to_json();
+
+        let mut replay = sim();
+        replay.set_fast_forward(ff);
+        replay.inject(log.iter().map(|r| r.to_request()).collect());
+        let replay_json = replay.run_to_completion().to_json().to_json();
+        assert_eq!(
+            live_json, replay_json,
+            "ff={ff}: live and replay must be byte-identical"
+        );
+    }
+}
+
+#[test]
 fn token_events_cover_the_decode_stream() {
     let mut s = sim();
     s.enable_live_ingress();

@@ -5,8 +5,9 @@
 //!
 //! * [`time`] — integer-nanosecond instants and spans ([`SimTime`],
 //!   [`SimDuration`]); exact, drift-free, totally ordered.
-//! * [`event`] — the event queue and clock ([`EventQueue`], [`Clock`]) with
-//!   FIFO tie-breaking so reruns are bit-identical.
+//! * [`event`] — the event queue and clock ([`EventQueue`], [`Clock`]):
+//!   `(time, class, sequence)` ordering so reruns are bit-identical, and a
+//!   local lane that the fast-forward horizon ignores.
 //! * [`rng`] — seeded randomness ([`SimRng`]) with the distributions the
 //!   workload generators need (exponential, normal, lognormal, Zipf).
 //! * [`metrics`] — samples, percentiles, time series, and the serving
@@ -35,7 +36,7 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use event::{Clock, EventQueue, TimeMultiset, CLASS_ARRIVAL, CLASS_DEFAULT};
+pub use event::{Clock, EventQueue, CLASS_ARRIVAL, CLASS_DEFAULT};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{
     Counters, LatencyStats, MetricId, MetricsRegistry, RequestLatency, Samples, Summary, TimeSeries,

@@ -1,7 +1,12 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
 use proptest::prelude::*;
-use simcore::{Clock, EventQueue, Samples, SharedLink, SimDuration, SimRng, SimTime};
+use simcore::{
+    Clock, EventQueue, Samples, SharedLink, SimDuration, SimRng, SimTime, CLASS_ARRIVAL,
+    CLASS_DEFAULT,
+};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 proptest! {
     /// Events always pop in non-decreasing time order, with FIFO tie-breaks.
@@ -29,12 +34,51 @@ proptest! {
         }
     }
 
+    /// The two-lane queue pops exactly like one heap keyed
+    /// `(time, class, seq)`, and its horizon is the earliest pending event
+    /// not pushed to the local lane.
+    #[test]
+    fn event_queue_lanes_match_one_heap(ops in prop::collection::vec((0u8..5, 0u64..32), 1..300)) {
+        let mut q = EventQueue::new();
+        let mut reference = BinaryHeap::new();
+        // Pending non-local events as (time, seq).
+        let mut shadow: Vec<(SimTime, u64)> = Vec::new();
+        let mut seq = 0u64;
+        for (op, t) in ops {
+            let t = SimTime::from_nanos(t);
+            match op {
+                0 | 1 => {
+                    let class = if op == 0 { CLASS_DEFAULT } else { CLASS_ARRIVAL };
+                    q.push_class(t, class, seq);
+                    reference.push(Reverse((t, class, seq)));
+                    shadow.push((t, seq));
+                    seq += 1;
+                }
+                2 => {
+                    q.push_local(t, seq);
+                    reference.push(Reverse((t, CLASS_DEFAULT, seq)));
+                    seq += 1;
+                }
+                _ => {
+                    let want = reference.pop().map(|Reverse((t, _, s))| (t, s));
+                    prop_assert_eq!(q.pop(), want);
+                    if let Some((_, s)) = want {
+                        shadow.retain(|&(_, x)| x != s);
+                    }
+                }
+            }
+            prop_assert_eq!(q.peek_time(), reference.peek().map(|Reverse(k)| k.0));
+            prop_assert_eq!(q.horizon(), shadow.iter().map(|&(t, _)| t).min());
+            prop_assert_eq!(q.len(), reference.len());
+        }
+    }
+
     /// The clock never moves backwards no matter the schedule order.
     #[test]
     fn clock_is_monotone(delays in prop::collection::vec(0u64..1_000_000, 1..100)) {
         let mut c: Clock<usize> = Clock::new();
         for (i, &d) in delays.iter().enumerate() {
-            c.schedule_after(SimDuration::from_nanos(d), i);
+            c.schedule(c.now() + SimDuration::from_nanos(d), i);
         }
         let mut last = SimTime::ZERO;
         let mut popped = 0;
