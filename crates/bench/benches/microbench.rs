@@ -289,6 +289,55 @@ fn bench_engine_decode_advance(c: &mut Criterion) {
     });
 }
 
+/// [`saturated_decode_engine`] plus ~10% of KV capacity in unpinned cached
+/// 256-token contexts, so the RTC holds evictable prefix nodes the
+/// fast-forward swapper gate could scan.
+fn prefix_cached_decode_engine(n_req: u64) -> (flowserve::Engine, SimTime) {
+    let (mut engine, now) = saturated_decode_engine(n_req);
+    let cap = engine.cost_model().kv_capacity_tokens(0.1);
+    let rtc = engine.rtc_mut();
+    for i in 0..cap / 10 / 256 {
+        let tokens = synthetic_tokens(1_000_000 + i, 256, 64_000);
+        let blocks = rtc
+            .alloc_blocks(256 / rtc.block_size())
+            .expect("cached contexts fit in ~10% of KV");
+        rtc.insert_prefix(now, &tokens, &blocks);
+        rtc.free(&blocks);
+    }
+    (engine, now)
+}
+
+/// Fast-forward with an external event ~1.5 iterations out on every
+/// wake, over a prefix-cached RTC: each window setup can absorb at most
+/// one boundary, so any per-setup work not bounded by the absorbed steps
+/// shows up here. Compare against `engine/advance_decode64_single_step`.
+fn bench_engine_decode_ff_near_horizon(c: &mut Criterion) {
+    use flowserve::Pacing;
+    c.bench_function("engine/advance_decode64_ff_near_horizon", |b| {
+        // One decode iteration, measured on the freshly built engine (the
+        // setup ends on a single-stepped pure-decode wake).
+        let one_step = |e: &flowserve::Engine, now: SimTime| {
+            e.next_wake(now).expect("decode in flight").since(now)
+        };
+        let (mut engine, mut now) = prefix_cached_decode_engine(64);
+        let mut step = one_step(&engine, now);
+        let mut events = Vec::new();
+        b.iter(|| match engine.next_wake(now) {
+            Some(wake) => {
+                now = wake;
+                let horizon = Some(now + SimDuration::from_nanos(step.as_nanos() * 3 / 2));
+                events.clear();
+                engine.advance_paced(now, Pacing::FastForward { horizon }, &mut events);
+                black_box(events.len());
+            }
+            None => {
+                (engine, now) = prefix_cached_decode_engine(64);
+                step = one_step(&engine, now);
+            }
+        })
+    });
+}
+
 /// One small decode-heavy cluster run through the event loop.
 fn cluster_run() -> u64 {
     use deepserve::{materialize_trace, ClusterConfig, ClusterSim, Policy, TeRole};
@@ -331,6 +380,7 @@ criterion_group!(
     bench_shared_link,
     bench_engine_step,
     bench_engine_decode_advance,
+    bench_engine_decode_ff_near_horizon,
     bench_cluster_run
 );
 criterion_main!(benches);

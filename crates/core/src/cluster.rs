@@ -33,6 +33,11 @@ use simcore::{
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+/// Livelock guard: the event loop panics once the cumulative count of
+/// events processed by [`ClusterSim::step_until`] and
+/// [`ClusterSim::run_to_completion`] over the sim's lifetime reaches this.
+const EVENT_BUDGET: u64 = 200_000_000;
+
 // detlint note: the remaining HashMap/HashSet fields below are point-lookup
 // only (insert/remove/get/contains) — never iterated, so hash order cannot
 // leak into reports or traces. Anything iterated is a BTreeMap.
@@ -374,9 +379,6 @@ pub struct ClusterSim {
     /// (macro-stepping). On by default; outcome is bit-identical either
     /// way, only event counts and wall-clock change.
     fast_forward: bool,
-    /// Livelock guard: the event loop panics once `events_processed`
-    /// reaches this.
-    event_budget: u64,
     /// Events processed across all `step_until` and `run_to_completion`
     /// calls.
     events_processed: u64,
@@ -531,7 +533,6 @@ impl ClusterSim {
             tracer: Tracer::disabled(),
             metrics: MetricsRegistry::new(),
             fast_forward: true,
-            event_budget: 200_000_000,
             events_processed: 0,
             events_scratch: Vec::new(),
             fault_cfg: FaultRecoveryConfig::default(),
@@ -605,14 +606,6 @@ impl ClusterSim {
     /// correctness.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
-    }
-
-    /// Replaces the default 200M-event livelock budget. The budget is
-    /// cumulative: it bounds every event processed by
-    /// [`ClusterSim::step_until`] and [`ClusterSim::run_to_completion`]
-    /// over the sim's lifetime, not per call.
-    pub fn set_event_budget(&mut self, budget: u64) {
-        self.event_budget = budget;
     }
 
     /// Events processed so far across `step_until` and
@@ -921,9 +914,9 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// Panics if the cumulative event budget
-    /// ([`ClusterSim::set_event_budget`], default 200M) is exceeded —
-    /// almost certainly a livelock.
+    /// Panics once 200M events have been processed over the sim's
+    /// lifetime (cumulative across `step_until` slices) — almost
+    /// certainly a livelock.
     pub fn run_to_completion(&mut self) -> RunReport {
         self.run_events(None);
         self.report()
@@ -945,7 +938,7 @@ impl ClusterSim {
             self.handle(now, ev);
             self.events_processed += 1;
             assert!(
-                self.events_processed < self.event_budget,
+                self.events_processed < EVENT_BUDGET,
                 "cluster sim exceeded event budget (livelock?)"
             );
         }
@@ -2315,11 +2308,6 @@ impl ClusterSim {
     /// Requests that failed permanently (always zero without faults).
     pub fn failed(&self) -> u64 {
         self.failed
-    }
-
-    /// Whether TE `te` is currently up (for tests and benches).
-    pub fn is_alive(&self, te: TeId) -> bool {
-        self.tes[te.0 as usize].alive
     }
 
     /// Sum of every live engine's statistics (benches/diagnostics). The

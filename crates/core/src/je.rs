@@ -410,11 +410,6 @@ impl JobExecutor {
         self.policy
     }
 
-    /// Replaces the heatmap (e.g. after a profiling pass).
-    pub fn set_heatmap(&mut self, heatmap: Heatmap) {
-        self.heatmap = heatmap;
-    }
-
     /// Scheduling statistics.
     pub fn counters(&self) -> &Counters {
         &self.counters

@@ -65,21 +65,12 @@ impl PodPool {
 pub struct TePool {
     masters: usize,
     executors: usize,
-    /// Replenishment targets.
-    pub master_target: usize,
-    /// Executor replenishment target.
-    pub executor_target: usize,
 }
 
 impl TePool {
     /// Creates a pool with the given warm master/executor counts.
     pub fn new(masters: usize, executors: usize) -> Self {
-        TePool {
-            masters,
-            executors,
-            master_target: masters,
-            executor_target: executors,
-        }
+        TePool { masters, executors }
     }
 
     /// Warm `(masters, executors)` currently available.
@@ -97,14 +88,6 @@ impl TePool {
         } else {
             false
         }
-    }
-
-    /// Background replenishment of one master and up to `n` executors.
-    pub fn replenish(&mut self, n: usize) {
-        if self.masters < self.master_target {
-            self.masters += 1;
-        }
-        self.executors = (self.executors + n).min(self.executor_target);
     }
 }
 

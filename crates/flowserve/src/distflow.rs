@@ -20,7 +20,7 @@ use npu::specs::NpuId;
 use serde::Serialize;
 use simcore::trace::{Trace, TraceLevel, Tracer};
 use simcore::{Counters, SimTime};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 /// A memory tier a buffer can live in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -113,8 +113,6 @@ pub struct DistFlow {
     links: HashSet<(NpuId, NpuId)>,
     counters: Counters,
     tracer: Tracer,
-    /// Cumulative bytes moved per unordered endpoint pair (link occupancy).
-    link_bytes: BTreeMap<(NpuId, NpuId), u64>,
 }
 
 fn pair(a: NpuId, b: NpuId) -> (NpuId, NpuId) {
@@ -134,7 +132,6 @@ impl DistFlow {
             links: HashSet::new(),
             counters: Counters::new(),
             tracer: Tracer::disabled(),
-            link_bytes: BTreeMap::new(),
         }
     }
 
@@ -187,9 +184,8 @@ impl DistFlow {
         self.transfer_at(SimTime::ZERO, src, dst, link_kind)
     }
 
-    /// [`DistFlow::transfer`] with a sim-time stamp for tracing and link
-    /// occupancy accounting. Planning itself is instantaneous; `now` only
-    /// timestamps the emitted records.
+    /// [`DistFlow::transfer`] with a sim-time stamp for tracing. Planning
+    /// itself is instantaneous; `now` only timestamps the emitted records.
     pub fn transfer_at(
         &mut self,
         now: SimTime,
@@ -222,7 +218,6 @@ impl DistFlow {
         };
         self.counters.incr("distflow.transfers");
         self.counters.add("distflow.bytes", src.bytes);
-        *self.link_bytes.entry(pair(src.npu, dst.npu)).or_insert(0) += src.bytes;
         if self.tracer.is_enabled() {
             let backend_name = match backend {
                 Backend::Memcpy => "memcpy",
@@ -250,17 +245,6 @@ impl DistFlow {
             backend,
             crosses_fabric: src.npu != dst.npu,
         })
-    }
-
-    /// Cumulative bytes planned over the link between `a` and `b`
-    /// (direction-agnostic), for per-link occupancy reporting.
-    pub fn link_occupancy(&self, a: NpuId, b: NpuId) -> u64 {
-        self.link_bytes.get(&pair(a, b)).copied().unwrap_or(0)
-    }
-
-    /// All links with traffic, as `((a, b), bytes)` in deterministic order.
-    pub fn link_occupancies(&self) -> impl Iterator<Item = (&(NpuId, NpuId), &u64)> {
-        self.link_bytes.iter()
     }
 
     /// Transfer statistics.

@@ -199,9 +199,6 @@ pub struct Engine {
     /// Scratch per-sequence new-block lists for `fast_forward` (inner
     /// vectors stay allocated across windows; always empty between calls).
     scratch_new_blocks: Vec<Vec<BlockId>>,
-    /// Scratch vectorized iteration costs for `fast_forward` (windows of
-    /// upcoming step times priced in one cost-model call).
-    scratch_costs: Vec<SimDuration>,
 }
 
 impl Engine {
@@ -238,7 +235,6 @@ impl Engine {
             spare_prefill_parts: Vec::new(),
             scratch_slack: Vec::new(),
             scratch_new_blocks: Vec::new(),
-            scratch_costs: Vec::new(),
         }
     }
 
@@ -682,7 +678,7 @@ impl Engine {
     ///
     /// When the engine is *quiescent* — empty admission queue, no prefill
     /// chunks in flight, no `waiting_kv` stalls, no pending populate
-    /// tickets, healthy speed, and a stable pure-decode batch — every
+    /// tickets, and a stable pure-decode batch — every
     /// upcoming iteration is predetermined until one of four things
     /// happens: the fastest sequence in the batch completes, a block
     /// allocation would miss the free pool (eviction/preemption), the
@@ -690,13 +686,15 @@ impl Engine {
     /// scheduled event lands (`horizon`). This absorbs exactly the
     /// boundaries that provably precede all four into the in-flight
     /// iteration, replaying the single-step arithmetic — real pool
-    /// appends in batch order, per-iteration integer-nanosecond cost
-    /// rounding — so the committed state (tables, block ids, counters,
-    /// timings) is bit-identical to stepping one wake at a time.
+    /// appends in batch order, every step priced by `iteration_wall` —
+    /// so the committed state (tables, block ids, counters, timings) is
+    /// bit-identical to stepping one wake at a time. A straggler's
+    /// slowdown is priced like any other step; it only changes at fault
+    /// events, which bound the horizon.
     ///
-    /// Fallbacks: stragglers (`slowdown != 1.0`) and full-level tracing
-    /// (which wants every per-token event) single-step unconditionally;
-    /// any quiescence violation absorbs nothing.
+    /// Fallbacks: full-level tracing (which wants every per-token event)
+    /// single-steps unconditionally; any quiescence violation absorbs
+    /// nothing.
     fn fast_forward(&mut self, horizon: Option<SimTime>, events: &mut Vec<EngineEvent>) {
         // Cheapest rejection first: if an external event pops at or before
         // the first boundary, nothing can be absorbed — skip all window
@@ -706,7 +704,7 @@ impl Engine {
                 return;
             }
         }
-        if self.slowdown != 1.0 || self.tracer.is_full() {
+        if self.tracer.is_full() {
             return;
         }
         if !self.waiting.is_empty()
@@ -758,27 +756,19 @@ impl Engine {
             return;
         }
 
-        // Constant across the window: the batch (hence the CPU cost) is
-        // fixed, and pool-hit appends never touch the radix tree, so the
-        // evictable set cannot change while absorbing.
-        let (cpu_overlap, cpu_residual) = self.cfg.version.cpu_costs(b);
+        // The background swapper runs only below the low watermark and only
+        // has work if something is evictable. Pool-hit appends never touch
+        // the radix tree, so the evictable set cannot change inside the
+        // window: scan it at most once, the first time the pool dips below
+        // the watermark.
         let watermark = self.cfg.swap_low_watermark_blocks;
-        let has_evictable = watermark > 0 && self.rtc.npu_evictable();
+        let mut has_evictable: Option<bool> = None;
 
         let mut new_blocks = std::mem::take(&mut self.scratch_new_blocks);
         if new_blocks.len() < b {
             new_blocks.resize_with(b, Vec::new);
         }
         debug_assert!(new_blocks.iter().all(Vec::is_empty));
-        // Vectorized pricing: upcoming per-iteration costs are evaluated
-        // in windows of up to `COST_WINDOW` steps with one cost-model
-        // call (context-invariant roofline terms hoisted), bit-identical
-        // to per-step `step_time` — re-checked by the debug assertion in
-        // the loop. Bounded so a horizon/watermark break wastes little.
-        const COST_WINDOW: u64 = 64;
-        let mut costs = std::mem::take(&mut self.scratch_costs);
-        costs.clear();
-        let mut cost_i = 0usize;
         let mut absorbed: u64 = 0;
         let mut busy_acc = SimDuration::ZERO;
         // Appends the *next* boundary needs; updated incrementally by the
@@ -793,21 +783,11 @@ impl Engine {
                 break; // an external event pops first (strictly before)
             }
             let free = self.rtc.npu_free_blocks();
-            if has_evictable && free < watermark {
+            if free < watermark && *has_evictable.get_or_insert_with(|| self.rtc.npu_evictable()) {
                 break; // the background swapper would demote cache here
             }
             if next_appends > free {
                 break; // allocation would evict or preempt; single-step it
-            }
-            if cost_i == costs.len() {
-                // Refill the price window from the current context (the
-                // cost model advances it by `b` before each step, exactly
-                // like the scalar path below).
-                costs.clear();
-                cost_i = 0;
-                let steps = (min_rem - 1 - absorbed).min(COST_WINDOW);
-                self.cost
-                    .decode_step_times_into(b as u64, context_total, steps, &mut costs);
             }
             // Absorb the boundary: complete this iteration silently and
             // form the next one. Pool appends happen for real, in batch
@@ -831,23 +811,9 @@ impl Engine {
             }
             next_appends = coming;
             context_total += b as u64;
-            // Exactly `start_iteration`'s arithmetic for a pure-decode
-            // batch, including the per-iteration float -> integer-ns
-            // rounding (a closed-form sum would drift by ulps) — served
-            // from the vectorized window above.
-            let npu = costs[cost_i];
-            cost_i += 1;
-            debug_assert_eq!(
-                npu,
-                self.cost
-                    .step_time(&BatchWork::decode(b as u64, context_total)),
-                "vectorized decode pricing diverged from scalar step_time"
-            );
-            let wall = if self.cfg.version.async_sched {
-                SimDuration::from_secs_f64(npu.as_secs_f64().max(cpu_overlap) + cpu_residual)
-            } else {
-                npu + SimDuration::from_secs_f64(cpu_overlap + cpu_residual)
-            };
+            // The next iteration is exactly what `start_iteration` would
+            // form, priced by the same function.
+            let wall = self.iteration_wall(&BatchWork::decode(b as u64, context_total), b);
             it.ends_at += wall;
             busy_acc += wall;
             absorbed += 1;
@@ -891,8 +857,6 @@ impl Engine {
         }
         self.scratch_slack = slack;
         self.scratch_new_blocks = new_blocks;
-        costs.clear();
-        self.scratch_costs = costs;
         self.current = Some(it);
     }
 
@@ -920,18 +884,8 @@ impl Engine {
         if work.is_empty() {
             return;
         }
-        let npu = self.cost.step_time(&work);
         let seqs = decode_ids.len() + prefill_parts.len();
-        let (overlap, residual) = self.cfg.version.cpu_costs(seqs.max(1));
-        let mut wall = if self.cfg.version.async_sched {
-            SimDuration::from_secs_f64(npu.as_secs_f64().max(overlap) + residual)
-        } else {
-            npu + SimDuration::from_secs_f64(overlap + residual)
-        };
-        // Guarded so the float round-trip cannot perturb healthy runs.
-        if self.slowdown != 1.0 {
-            wall = wall.mul_f64(self.slowdown);
-        }
+        let wall = self.iteration_wall(&work, seqs);
         self.stats.iterations += 1;
         self.stats.busy += wall;
         let span = if self.tracer.is_enabled() {
@@ -955,6 +909,28 @@ impl Engine {
             span,
             iterations: 1,
         });
+    }
+
+    /// Wall time of one iteration over `work` with `seqs` scheduled
+    /// sequences: the roofline NPU time, the version's CPU scheduling cost
+    /// (overlapped with the NPU under async scheduling, serial otherwise)
+    /// and the straggler slowdown. `start_iteration` and every boundary
+    /// `fast_forward` absorbs price through here, so both agree to the
+    /// nanosecond.
+    fn iteration_wall(&self, work: &BatchWork, seqs: usize) -> SimDuration {
+        let npu = self.cost.step_time(work);
+        let (overlap, residual) = self.cfg.version.cpu_costs(seqs.max(1));
+        let wall = if self.cfg.version.async_sched {
+            SimDuration::from_secs_f64(npu.as_secs_f64().max(overlap) + residual)
+        } else {
+            npu + SimDuration::from_secs_f64(overlap + residual)
+        };
+        // Guarded so the float round-trip cannot perturb healthy runs.
+        if self.slowdown != 1.0 {
+            wall.mul_f64(self.slowdown)
+        } else {
+            wall
+        }
     }
 
     fn form_batch(&mut self, now: SimTime) -> (BatchWork, Vec<RequestId>, Vec<(RequestId, usize)>) {

@@ -2,8 +2,8 @@
 //! driver loop plays the role the platform (deepserve) plays in production.
 
 use flowserve::{
-    synthetic_tokens, Engine, EngineConfig, EngineEvent, EngineVersion, NewRequest, RequestId,
-    TokenId,
+    synthetic_tokens, Engine, EngineConfig, EngineEvent, EngineVersion, NewRequest, Pacing,
+    RequestId, TokenId,
 };
 use llm_model::{ExecCostModel, ModelSpec, Parallelism};
 use npu::specs::ClusterSpec;
@@ -435,4 +435,60 @@ fn deterministic_replay() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run(), "identical inputs must replay identically");
+}
+
+/// Drives a full decode batch (16 sequences, `max_batch` 16) to idle under
+/// `pacing` with iteration slowdown `factor`. Returns the emitted events,
+/// the final stats and the last wake time the engine asked for.
+fn paced_decode_batch(
+    pacing: Pacing,
+    factor: f64,
+) -> (Vec<String>, flowserve::EngineStats, Option<SimTime>) {
+    let cfg = EngineConfig {
+        max_batch: 16,
+        ..EngineConfig::colocated()
+    };
+    let mut engine = Engine::new(cfg, cost_34b_tp4());
+    engine.set_slowdown(factor);
+    for i in 0..16u64 {
+        let out = engine.submit(
+            SimTime::ZERO,
+            req(
+                i,
+                i + 1,
+                200 + 37 * i as usize,
+                40 + 7 * i as u32,
+                SimTime::ZERO,
+            ),
+        );
+        assert!(out.accepted && out.populate.is_none());
+    }
+    let mut now = SimTime::ZERO;
+    let mut last_wake = None;
+    let mut events = Vec::new();
+    let mut log = Vec::new();
+    while let Some(wake) = engine.next_wake(now) {
+        now = wake;
+        last_wake = Some(wake);
+        events.clear();
+        engine.advance_paced(now, pacing, &mut events);
+        log.extend(events.iter().map(|ev| format!("{ev:?}")));
+    }
+    (log, engine.stats(), last_wake)
+}
+
+#[test]
+fn fast_forward_prices_straggler_steps_like_single_step() {
+    for factor in [1.0, 3.0] {
+        let (ss_events, ss, ss_wake) = paced_decode_batch(Pacing::SingleStep, factor);
+        let (ff_events, ff, ff_wake) =
+            paced_decode_batch(Pacing::FastForward { horizon: None }, factor);
+        assert_eq!(ss_events.len(), 32, "16 first tokens + 16 finishes");
+        assert_eq!(ff_events, ss_events, "slowdown {factor}");
+        assert_eq!(ff.busy, ss.busy, "slowdown {factor}");
+        assert_eq!(ff.iterations, ss.iterations, "slowdown {factor}");
+        assert_eq!(ff_wake, ss_wake, "slowdown {factor}");
+        assert!(ff.ff_iterations > 0, "slowdown {factor} absorbed nothing");
+        assert_eq!(ss.ff_iterations, 0);
+    }
 }

@@ -256,9 +256,10 @@ impl ExecCostModel {
     /// `y + 0.0 * kv == y` exactly), and each step ends in the same
     /// `compute.max(memory) + comm + floor` rounding through
     /// [`SimDuration::from_secs_f64`], so the results are bit-identical
-    /// to calling [`Self::step_time`] once per iteration. The engine's
-    /// fast-forward path re-verifies this with a debug assertion on
-    /// every absorbed iteration.
+    /// to calling [`Self::step_time`] once per iteration (checked by the
+    /// `decode_step_times_match_scalar_pricing` unit test). The engine
+    /// prices every iteration through `step_time`; this window form is
+    /// kept for perfbench's cost-layer replay.
     pub fn decode_step_times_into(
         &self,
         seqs: u64,
@@ -408,7 +409,7 @@ mod tests {
     fn decode_step_times_match_scalar_pricing() {
         // The vectorized batch evaluation hoists the context-invariant
         // roofline terms; it must still reproduce the scalar per-step
-        // pricing bit-for-bit, or fast-forward replay breaks.
+        // pricing bit-for-bit.
         for par in [Parallelism::tp(4), Parallelism::tp_pp(2, 2)] {
             let cluster = ClusterSpec::gen2_cluster(1);
             let m = ExecCostModel::new(

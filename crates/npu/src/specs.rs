@@ -189,14 +189,6 @@ impl ClusterSpec {
         }
     }
 
-    /// A Gen1 cluster (older chips, same fabric tiers).
-    pub fn gen1_cluster(num_servers: usize) -> Self {
-        ClusterSpec {
-            server: ServerSpec::standard(ChipSpec::gen1()),
-            ..Self::gen2_cluster(num_servers)
-        }
-    }
-
     /// A SuperPod-style cluster: one large HCCS domain spanning
     /// `num_servers` machines.
     pub fn superpod(num_servers: usize) -> Self {

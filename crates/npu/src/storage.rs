@@ -281,13 +281,6 @@ impl ServerStore {
         self.ssd.contains(file)
     }
 
-    /// Pre-stages `range` of `file` into DRAM without charging time
-    /// (warm-pool priming in tests and benches).
-    pub fn prime_dram(&mut self, file: FileId, range: ByteRange, file_size: u64) {
-        self.ssd.admit(file, file_size);
-        self.dram.preload(file, range);
-    }
-
     /// Pre-stages `file` onto the SSD only.
     pub fn prime_ssd(&mut self, file: FileId, file_size: u64) {
         for victim in self.ssd.admit(file, file_size) {
