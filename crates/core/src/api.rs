@@ -1,55 +1,12 @@
-//! User-facing API surface and the request–job–task serverless abstraction.
+//! The platform's request type and its replayable ingress record.
 //!
-//! "Users interact with DeepServe by sending HTTP requests, which trigger
-//! one or more internal jobs. Each job may generate multiple tasks." (§3)
-//! A chat completion is one serving job; on a PD-colocated engine it is one
-//! task, in a prefill–decode-disaggregated setup it is two.
+//! Every request is a chat completion: the JE places it on one colocated
+//! TE or on a prefill/decode pair (§3). The paper's other endpoints and
+//! post-training jobs are not modeled.
 
 use flowserve::{CacheId, Prompt, RequestId, TokenId};
 use serde::{Serialize, Value};
 use simcore::{SimDuration, SimTime};
-
-/// Service-level objectives attached to a request class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct Slo {
-    /// Time-to-first-token target.
-    pub ttft: SimDuration,
-    /// Time-per-output-token target.
-    pub tpot: SimDuration,
-}
-
-impl Slo {
-    /// The interactive-chat SLO used throughout the evaluation (50 ms TPOT,
-    /// Figure 3's SLA line; a few seconds of TTFT).
-    pub fn chat() -> Self {
-        Slo {
-            ttft: SimDuration::from_secs(3),
-            tpot: SimDuration::from_millis(50),
-        }
-    }
-
-    /// Relaxed batch-inference SLO.
-    pub fn batch() -> Self {
-        Slo {
-            ttft: SimDuration::from_secs(60),
-            tpot: SimDuration::from_millis(500),
-        }
-    }
-}
-
-/// The API endpoint a request came through (Figure 1: chat completion,
-/// batch inference, context caching, ... JEs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Endpoint {
-    /// `/v1/chat/completions`-style interactive serving.
-    ChatCompletion,
-    /// Offline batch inference.
-    BatchInference,
-    /// Explicit context-cache creation (prefill + pin, no decode).
-    ContextCacheCreate,
-    /// Embedding computation (prefill-only workload).
-    Embedding,
-}
 
 /// One user request as the platform sees it (already tokenized by the
 /// frontend tokenizer pool).
@@ -57,8 +14,6 @@ pub enum Endpoint {
 pub struct ApiRequest {
     /// Globally unique id.
     pub id: RequestId,
-    /// Endpoint.
-    pub endpoint: Endpoint,
     /// Tokenized prompt (shared by reference; an O(1) clone).
     pub prompt: Prompt,
     /// Ground-truth output length (simulation oracle; schedulers see only
@@ -66,8 +21,6 @@ pub struct ApiRequest {
     pub target_output: u32,
     /// Arrival at the frontend.
     pub arrival: SimTime,
-    /// SLO class.
-    pub slo: Slo,
     /// Explicit context-cache id to reuse/create.
     pub cache_id: Option<CacheId>,
     /// Target model in the fleet registry; `None` = the cluster's single
@@ -80,11 +33,9 @@ impl ApiRequest {
     pub fn chat(id: u64, prompt: impl Into<Prompt>, target_output: u32, arrival: SimTime) -> Self {
         ApiRequest {
             id: RequestId(id),
-            endpoint: Endpoint::ChatCompletion,
             prompt: prompt.into(),
             target_output,
             arrival,
-            slo: Slo::chat(),
             cache_id: None,
             model: None,
         }
@@ -100,19 +51,14 @@ impl ApiRequest {
     pub fn prefill_len(&self) -> usize {
         self.prompt.len()
     }
-
-    /// Ratio of decode length to prefill length (the heatmap x-axis).
-    pub fn decode_ratio(&self, predicted_decode: u32) -> f64 {
-        predicted_decode as f64 / self.prompt.len().max(1) as f64
-    }
 }
 
 /// One live-ingress event: everything needed to replay a gateway
 /// submission deterministically. The arrival stamp is the *final* one the
 /// sim chose (strictly increasing), so `inject`ing the
 /// materialized requests into a fresh sim reproduces the live run
-/// bit-for-bit. Only chat completions flow through the gateway today, so
-/// the endpoint/SLO class is implied rather than recorded.
+/// bit-for-bit. Every request is a chat completion, so there is no
+/// request kind to record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngressRecord {
     /// Request id (gateway-assigned, unique per run).
@@ -286,122 +232,4 @@ pub fn materialize_fleet_trace(specs: &[workloads::FleetReqSpec], vocab: u32) ->
         .enumerate()
         .map(|(i, s)| materialize(&s.spec, i as u64, vocab).with_model(s.model))
         .collect()
-}
-
-/// Job kinds DeepServe decomposes requests into (§3). This paper focuses on
-/// serving; post-training job kinds exist in the abstraction and are
-/// modeled as opaque long-running occupants of TEs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum JobKind {
-    /// One serving job per chat/batch request.
-    Serving,
-    /// Fine-tuning pipeline stages (preprocess, train, evaluate).
-    FineTunePreprocess,
-    /// Training stage of a fine-tune.
-    FineTuneTrain,
-    /// Evaluation stage of a fine-tune.
-    FineTuneEvaluate,
-    /// Agent-serving step (tool-augmented loop).
-    AgentServing,
-}
-
-/// Task kinds a serving job can fan out into, depending on the engine
-/// configuration it lands on (§3: one task on PD-colocated, two tasks in a
-/// PD-disaggregated setup, at least two in attention-expert-disaggregated).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum TaskKind {
-    /// Whole request on one colocated engine.
-    Unified,
-    /// Prefill half of a disaggregated pair.
-    Prefill,
-    /// Decode half of a disaggregated pair.
-    Decode,
-    /// Attention side of operator-level disaggregation.
-    Attention,
-    /// Expert side of operator-level disaggregation.
-    Expert,
-}
-
-/// A job spawned by a request.
-#[derive(Debug, Clone)]
-pub struct Job {
-    /// The request that spawned this job.
-    pub request: RequestId,
-    /// Kind.
-    pub kind: JobKind,
-    /// Tasks the job fans out into, in execution order.
-    pub tasks: Vec<TaskKind>,
-}
-
-impl Job {
-    /// Decomposes a serving request for a chosen execution style.
-    pub fn serving(request: RequestId, disaggregated: bool) -> Job {
-        Job {
-            request,
-            kind: JobKind::Serving,
-            tasks: if disaggregated {
-                vec![TaskKind::Prefill, TaskKind::Decode]
-            } else {
-                vec![TaskKind::Unified]
-            },
-        }
-    }
-
-    /// Decomposes a fine-tuning request into its three jobs (the paper's
-    /// example: "a fine-tuning request triggers multiple internal jobs,
-    /// including preprocessing, training, and evaluation").
-    pub fn fine_tune_pipeline(request: RequestId) -> Vec<Job> {
-        vec![
-            Job {
-                request,
-                kind: JobKind::FineTunePreprocess,
-                tasks: vec![TaskKind::Unified],
-            },
-            Job {
-                request,
-                kind: JobKind::FineTuneTrain,
-                tasks: vec![TaskKind::Unified],
-            },
-            Job {
-                request,
-                kind: JobKind::FineTuneEvaluate,
-                tasks: vec![TaskKind::Unified],
-            },
-        ]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use flowserve::synthetic_tokens;
-
-    #[test]
-    fn serving_job_task_counts_match_paper() {
-        let colocated = Job::serving(RequestId(1), false);
-        assert_eq!(colocated.tasks, vec![TaskKind::Unified]);
-        let disagg = Job::serving(RequestId(1), true);
-        assert_eq!(disagg.tasks, vec![TaskKind::Prefill, TaskKind::Decode]);
-    }
-
-    #[test]
-    fn fine_tune_fans_out_to_three_jobs() {
-        let jobs = Job::fine_tune_pipeline(RequestId(9));
-        assert_eq!(jobs.len(), 3);
-        assert_eq!(jobs[0].kind, JobKind::FineTunePreprocess);
-        assert_eq!(jobs[2].kind, JobKind::FineTuneEvaluate);
-    }
-
-    #[test]
-    fn decode_ratio_is_heatmap_axis() {
-        let r = ApiRequest::chat(1, synthetic_tokens(1, 2048, 64_000), 512, SimTime::ZERO);
-        assert_eq!(r.prefill_len(), 2048);
-        assert!((r.decode_ratio(512) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn slo_presets_are_ordered() {
-        assert!(Slo::chat().tpot < Slo::batch().tpot);
-        assert!(Slo::chat().ttft < Slo::batch().ttft);
-    }
 }

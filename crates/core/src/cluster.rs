@@ -861,15 +861,22 @@ impl ClusterSim {
     /// live-vs-replay byte identity of the final report.
     pub fn metrics_snapshot_json(&self) -> serde::Value {
         let mut snap = self.metrics.clone();
-        snap.import_counters(&self.counters);
-        snap.import_counters(self.je.counters());
-        snap.import_counters(self.distflow.counters());
-        snap.import_counters(&self.salvaged_counters);
-        for te in &self.tes {
-            snap.import_counters(te.engine.counters());
-            snap.import_counters(te.engine.rtc().counters());
-        }
+        self.import_all_counters(&mut snap);
         snap.to_json()
+    }
+
+    /// Folds every component's counters into `metrics`, in the report's
+    /// fixed order: cluster, JE, DistFlow, engines a repair replaced, then
+    /// each TE's engine and RTC.
+    fn import_all_counters(&self, metrics: &mut MetricsRegistry) {
+        metrics.import_counters(&self.counters);
+        metrics.import_counters(self.je.counters());
+        metrics.import_counters(self.distflow.counters());
+        metrics.import_counters(&self.salvaged_counters);
+        for te in &self.tes {
+            metrics.import_counters(te.engine.counters());
+            metrics.import_counters(te.engine.rtc().counters());
+        }
     }
 
     /// Arms the fault layer: schedules every event in `plan` into the
@@ -975,14 +982,7 @@ impl ClusterSim {
         // Fold all counters into the registry (values accumulate across
         // report() calls on the same sim, matching Counters semantics).
         let mut metrics = std::mem::take(&mut self.metrics);
-        metrics.import_counters(&self.counters);
-        metrics.import_counters(self.je.counters());
-        metrics.import_counters(self.distflow.counters());
-        metrics.import_counters(&self.salvaged_counters);
-        for te in &self.tes {
-            metrics.import_counters(te.engine.counters());
-            metrics.import_counters(te.engine.rtc().counters());
-        }
+        self.import_all_counters(&mut metrics);
         let busy_id = metrics.samples("cluster.te_busy_s");
         for te in &self.tes {
             let busy = te.prior_busy + te.engine.stats().busy;

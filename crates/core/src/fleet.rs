@@ -243,16 +243,6 @@ impl ModelRegistry {
             self.remove_host(m, te);
         }
     }
-
-    /// Aggregate weight bytes currently pinned in HBM (each host holds a
-    /// full copy; TP sharding divides it across the TE's own NPUs).
-    pub fn resident_weight_bytes(&self) -> u64 {
-        self.entries
-            .iter()
-            .zip(&self.hosts)
-            .map(|(e, h)| e.spec.weight_bytes() * h.len() as u64)
-            .sum()
-    }
 }
 
 impl Serialize for ModelRegistry {
@@ -357,10 +347,6 @@ mod tests {
             assert_eq!(reg.hosts(m), &[TeId(2)]);
             assert_eq!(reg.state(m), LoadState::Loaded);
         }
-        assert_eq!(
-            reg.resident_weight_bytes(),
-            3 * ModelSpec::tiny_test().weight_bytes()
-        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! crate is the paper's primary contribution: everything above the
 //! FlowServe engine.
 //!
-//! * [`api`] — the request–job–task serverless abstraction (§3).
+//! * [`api`] — the request type, trace materialization and the replayable
+//!   ingress record.
 //! * [`je`] — Job Executors and the distributed scheduling policy
 //!   (Algorithm 1: PD-aware + locality-aware + load-aware, §5).
 //! * [`prompt_tree`] — the JE-side global prompt trees sharing an index
@@ -37,8 +38,8 @@ pub mod prompt_tree;
 pub mod scaling;
 
 pub use api::{
-    materialize, materialize_fleet_trace, materialize_trace, stream_trace, ApiRequest, Endpoint,
-    IngressRecord, Job, JobKind, Slo, TaskKind,
+    materialize, materialize_fleet_trace, materialize_trace, stream_trace, ApiRequest,
+    IngressRecord,
 };
 pub use cluster::{ClusterConfig, ClusterSim, FaultRecoveryConfig, LiveEvent, RunReport, TeRole};
 pub use fleet::{fleet_catalog, ColdStartMode, FleetConfig, LoadState, ModelEntry, ModelRegistry};
@@ -48,6 +49,6 @@ pub use manager::{
     AutoscaleSignal, Autoscaler, AutoscalerConfig, HealthConfig, HealthMonitor, PodPool,
     PreloadManager, ScaleAction, TePool,
 };
-pub use predictor::{Constant, DecodePredictor, FixedAccuracy, Oracle};
+pub use predictor::{DecodePredictor, FixedAccuracy, Oracle};
 pub use prompt_tree::{GlobalPromptTree, TeId};
 pub use scaling::{LoadPath, ScalingBreakdown, ScalingModel, ScalingOptimizations, SourceLoad};

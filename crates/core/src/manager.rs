@@ -20,17 +20,12 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone)]
 pub struct PodPool {
     warm: usize,
-    /// Replenishment target.
-    pub target: usize,
 }
 
 impl PodPool {
     /// Creates a pool holding `target` warm pods.
     pub fn new(target: usize) -> Self {
-        PodPool {
-            warm: target,
-            target,
-        }
+        PodPool { warm: target }
     }
 
     /// Warm pods currently available.
@@ -46,14 +41,6 @@ impl PodPool {
             true
         } else {
             false
-        }
-    }
-
-    /// Background replenishment (one pod per call; the infra layer
-    /// backfills asynchronously).
-    pub fn replenish_one(&mut self) {
-        if self.warm < self.target {
-            self.warm += 1;
         }
     }
 }
@@ -116,7 +103,7 @@ impl PreloadManager {
 
     /// Demand-ranked model names, most popular first (ties by name for
     /// determinism).
-    pub fn ranking(&self) -> Vec<&'static str> {
+    fn ranking(&self) -> Vec<&'static str> {
         let mut v: Vec<(&'static str, u64)> =
             self.popularity.iter().map(|(&k, &v)| (k, v)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
@@ -169,7 +156,7 @@ impl Default for HealthConfig {
 
 impl HealthConfig {
     /// Time from a silent TE's last heartbeat to detection.
-    pub fn detection_timeout(&self) -> SimDuration {
+    fn detection_timeout(&self) -> SimDuration {
         self.heartbeat_interval
             .saturating_mul(self.miss_threshold as u64)
     }
@@ -204,12 +191,6 @@ impl HealthMonitor {
     /// heartbeat at `now`.
     pub fn register(&mut self, te: TeId, now: SimTime) {
         self.last_beat.insert(te, now);
-        self.down.remove(&te);
-    }
-
-    /// Stops tracking a TE entirely (scale-down).
-    pub fn deregister(&mut self, te: TeId) {
-        self.last_beat.remove(&te);
         self.down.remove(&te);
     }
 
@@ -369,13 +350,11 @@ mod tests {
     use npu::pagecache::FileId;
 
     #[test]
-    fn pod_pool_exhausts_and_replenishes() {
+    fn pod_pool_exhausts() {
         let mut p = PodPool::new(2);
         assert!(p.acquire());
         assert!(p.acquire());
         assert!(!p.acquire(), "pool empty -> cold path");
-        p.replenish_one();
-        assert!(p.acquire());
     }
 
     #[test]
@@ -538,9 +517,6 @@ mod tests {
     fn health_monitor_ignores_unregistered_heartbeats() {
         let mut hm = HealthMonitor::new(HealthConfig::default());
         hm.heartbeat(TeId(7), SimTime::from_secs(1));
-        assert_eq!(hm.sweep(SimTime::from_secs(100)), vec![]);
-        hm.register(TeId(2), SimTime::ZERO);
-        hm.deregister(TeId(2));
         assert_eq!(hm.sweep(SimTime::from_secs(100)), vec![]);
     }
 

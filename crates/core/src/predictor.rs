@@ -60,11 +60,6 @@ impl FixedAccuracy {
             rng: SimRng::seed_from_u64(seed),
         }
     }
-
-    /// The production predictor: 90% accuracy (§5.3.2).
-    pub fn production(seed: u64) -> Self {
-        Self::new(0.9, seed)
-    }
 }
 
 impl DecodePredictor for FixedAccuracy {
@@ -81,20 +76,6 @@ impl DecodePredictor for FixedAccuracy {
             let factor = (sign * mag).exp();
             ((req.target_output as f64 * factor).round() as u32).max(1)
         }
-    }
-}
-
-/// Always predicts a fixed constant (a "mean output length" heuristic —
-/// the ablation baseline).
-#[derive(Debug)]
-pub struct Constant(pub u32);
-
-impl DecodePredictor for Constant {
-    fn name(&self) -> &'static str {
-        "constant"
-    }
-    fn predict(&mut self, _req: &ApiRequest) -> u32 {
-        self.0
     }
 }
 
@@ -143,12 +124,5 @@ mod tests {
         let r = req(300);
         let same = (0..1000).filter(|_| p.predict(&r) == 300).count();
         assert!(same < 50, "always-wrong predictor matched {same} times");
-    }
-
-    #[test]
-    fn constant_ignores_request() {
-        let mut c = Constant(128);
-        assert_eq!(c.predict(&req(9999)), 128);
-        assert_eq!(c.predict(&req(1)), 128);
     }
 }

@@ -197,3 +197,30 @@ fn zero_fault_plan_is_bit_identical_to_unarmed_run() {
     );
     assert_eq!(unarmed_trace, armed_trace, "trace must be byte-identical");
 }
+
+#[test]
+fn end_of_run_metrics_snapshot_matches_report() {
+    // A PD pair (DistFlow counters) next to a colocated TE that crashes
+    // and is repaired (salvaged engine counters): the `/metrics` snapshot
+    // taken once the queue drains must equal the report's registry, apart
+    // from the per-TE busy samples only the report records.
+    let mut rng = SimRng::seed_from_u64(5);
+    let reqs = materialize_trace(&ChatTrace::paper(0.5).generate(&mut rng, 30), 64_000);
+    let mut sim = ClusterSim::new(cfg(), &[TeRole::Prefill, TeRole::Decode, TeRole::Colocated]);
+    sim.inject(reqs);
+    let plan = FaultPlan::none().with_crash(SimTime::from_secs(5), 2);
+    sim.install_faults(&plan, FaultRecoveryConfig::default());
+    assert_eq!(sim.step_until(SimTime::from_secs(1_000_000)), None);
+    let snapshot = sim.metrics_snapshot_json();
+    let mut report = sim.run_to_completion();
+    assert_eq!(report.counters.get("cluster.repaired"), 1);
+    assert!(report.counters.get("sim.kv_migrations") > 0);
+    let serde::Value::Object(entries) = report.metrics.to_json() else {
+        panic!("the registry exports a JSON object");
+    };
+    let (busy, rest): (Vec<_>, Vec<_>) = entries
+        .into_iter()
+        .partition(|(name, _)| name == "cluster.te_busy_s");
+    assert_eq!(busy.len(), 1, "report() adds the busy samples");
+    assert_eq!(snapshot, serde::Value::Object(rest));
+}

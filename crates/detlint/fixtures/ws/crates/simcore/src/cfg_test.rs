@@ -14,4 +14,9 @@ mod tests {
         }
         let _ = std::time::Instant::now();
     }
+
+    #[test]
+    fn a_test_block_reference_counts() {
+        assert_eq!(crate::dead_pub::used_by_tests_elsewhere(), 3);
+    }
 }

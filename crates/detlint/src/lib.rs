@@ -7,10 +7,11 @@
 //! clock, no stray threads, no foreign RNG, no panicking library paths,
 //! justified `unsafe`, raw `std::sync` primitives contained to the
 //! model-checked shim surface, and no nested locking without a written
-//! lock order). This crate enforces them statically: a hand-rolled
-//! lexer strips comments/literals, a line-level rule engine flags
-//! violations, and an inline waiver syntax records the justification for
-//! every deliberate exception.
+//! lock order), plus one hygiene rule: no report-crate `pub fn` that
+//! nothing else in the workspace names. This crate enforces them
+//! statically: a hand-rolled lexer strips comments/literals, a line-level
+//! rule engine flags violations, and an inline waiver syntax records the
+//! justification for every deliberate exception.
 //!
 //! Run it with `cargo run -p detlint`; audit exceptions with
 //! `cargo run -p detlint -- --list-waivers`. The machine-readable report

@@ -1,7 +1,8 @@
 //! The determinism & robustness rules and the per-file checking pass.
 //!
-//! Each rule protects one invariant behind the simulator's bit-identical
-//! replay guarantee (see DESIGN.md §"Determinism lint"):
+//! Each rule but `dead-pub` protects one invariant behind the simulator's
+//! bit-identical replay guarantee (see DESIGN.md §"Determinism lint");
+//! `dead-pub` keeps code that nothing drives from piling up:
 //!
 //! | id              | invariant                                                      |
 //! |-----------------|----------------------------------------------------------------|
@@ -13,6 +14,7 @@
 //! | `unsafe`        | every `unsafe` block justifies itself with a `// SAFETY:` note |
 //! | `raw-sync`      | no raw `std::sync` primitives in the single-threaded simulator |
 //! | `lock-order`    | no nested lock acquisition without a written lock order        |
+//! | `dead-pub`      | every report-crate `pub fn` is named outside its own file      |
 //!
 //! A site can be waived with an inline comment carrying a written
 //! justification:
@@ -24,12 +26,18 @@
 //! The waiver goes on the offending line or on a comment line directly
 //! above it. A waiver without a justification does not suppress anything —
 //! it is itself reported (`bad-waiver`).
+//!
+//! `dead-pub` is the one rule that needs the whole tree: [`RefIndex`]
+//! counts, per identifier, the scanned files that name it, and a `pub fn`
+//! is flagged when no file but its own does. Known limitation: matching
+//! is by name only, so a dead `pub fn new` or `len` is never flagged while
+//! any other `new`/`len` exists anywhere in the workspace.
 
 use crate::lexer::LexedFile;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The eight enforced rules, in report order.
-pub const RULES: [&str; 8] = [
+/// The nine enforced rules, in report order.
+pub const RULES: [&str; 9] = [
     "unordered-iter",
     "wall-clock",
     "thread",
@@ -38,6 +46,7 @@ pub const RULES: [&str; 8] = [
     "unsafe",
     "raw-sync",
     "lock-order",
+    "dead-pub",
 ];
 
 /// Crates whose non-test code feeds reports/traces: hash-order iteration
@@ -116,6 +125,8 @@ pub struct Scope {
     /// `lock-order` (everywhere: a file that waives `raw-sync` still gets
     /// its lock nesting checked).
     pub d8: bool,
+    /// `dead-pub` (report/trace-feeding crate src trees only).
+    pub d9: bool,
     /// Whole file is test code (`tests/`, `benches/` directories).
     pub test_file: bool,
 }
@@ -138,6 +149,7 @@ impl Scope {
             d6: true,
             d7: !test_file,
             d8: !test_file,
+            d9: in_report_crate && !test_file,
             test_file,
         }
     }
@@ -480,8 +492,9 @@ pub struct FileReport {
     pub waivers: Vec<Waiver>,
 }
 
-/// Runs every in-scope rule over one lexed file.
-pub fn check_file(rel: &str, file: &LexedFile, scope: Scope) -> FileReport {
+/// Runs every in-scope rule over one lexed file. `refs` indexes the whole
+/// scanned tree, for `dead-pub`.
+pub fn check_file(rel: &str, file: &LexedFile, scope: Scope, refs: &RefIndex) -> FileReport {
     let mask = test_mask(file);
     let (waiver_map, all_waivers) = collect_waivers(file);
     let mut used: BTreeSet<(usize, String)> = BTreeSet::new(); // (decl_line, rule)
@@ -715,6 +728,11 @@ pub fn check_file(rel: &str, file: &LexedFile, scope: Scope) -> FileReport {
         lock_order_candidates(file, &mask, scope.test_file, &mut candidates);
     }
 
+    // D9 — dead-pub (whole-workspace: reads the reference index).
+    if scope.d9 {
+        dead_pub_candidates(file, &mask, refs, &mut candidates);
+    }
+
     // Waiver filtering.
     for (idx, rule, message) in candidates {
         let mut waived = false;
@@ -872,9 +890,142 @@ fn lock_order_candidates(
     }
 }
 
+/// Identifier tokens in one file's code text, minus the name right after
+/// each `fn` keyword: that is a definition, not a reference. Numeric
+/// literals (`7u32`) are not identifiers.
+fn reference_tokens(file: &LexedFile) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    let mut after_fn = false;
+    for line in &file.code {
+        let chars: Vec<char> = line.chars().collect();
+        let mut i = 0;
+        while i < chars.len() {
+            if !is_ident_char(chars[i]) {
+                after_fn &= chars[i].is_whitespace();
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < chars.len() && is_ident_char(chars[i]) {
+                i += 1;
+            }
+            let tok: String = chars[start..i].iter().collect();
+            let defines = after_fn;
+            after_fn = tok == "fn";
+            if !defines && !tok.starts_with(|c: char| c.is_ascii_digit()) {
+                out.insert(tok);
+            }
+        }
+    }
+    out
+}
+
+/// For every identifier, how many scanned files name it outside a `fn`
+/// definition: the workspace-wide input of `dead-pub`.
+#[derive(Debug, Default)]
+pub struct RefIndex {
+    files_naming: BTreeMap<String, usize>,
+}
+
+impl RefIndex {
+    /// Indexes every file of the scan (tests, benches, examples included).
+    pub fn build<'a>(files: impl IntoIterator<Item = &'a LexedFile>) -> RefIndex {
+        let mut files_naming = BTreeMap::new();
+        for file in files {
+            for tok in reference_tokens(file) {
+                *files_naming.entry(tok).or_insert(0) += 1;
+            }
+        }
+        RefIndex { files_naming }
+    }
+}
+
+/// The name of a `pub fn` (optionally `const`/`async`/`unsafe`) declared
+/// on this code line.
+fn pub_fn_name(line: &str) -> Option<String> {
+    let mut rest = line.trim_start().strip_prefix("pub ")?.trim_start();
+    for qualifier in ["const ", "async ", "unsafe "] {
+        if let Some(r) = rest.strip_prefix(qualifier) {
+            rest = r.trim_start();
+        }
+    }
+    let name: String = rest
+        .strip_prefix("fn ")?
+        .trim_start()
+        .chars()
+        .take_while(|&c| is_ident_char(c))
+        .collect();
+    (!name.is_empty()).then_some(name)
+}
+
+/// D9 — dead-pub: flag a non-test `pub fn` whose name no other scanned
+/// file mentions as a code token (see the module doc for the name-only
+/// blind spot).
+fn dead_pub_candidates(
+    file: &LexedFile,
+    mask: &[bool],
+    refs: &RefIndex,
+    candidates: &mut Vec<(usize, &'static str, String)>,
+) {
+    let own = reference_tokens(file);
+    for (idx, line) in file.code.iter().enumerate() {
+        if mask[idx] {
+            continue;
+        }
+        let Some(name) = pub_fn_name(line) else {
+            continue;
+        };
+        let naming = refs.files_naming.get(&name).copied().unwrap_or(0);
+        if naming <= usize::from(own.contains(&name)) {
+            candidates.push((
+                idx,
+                "dead-pub",
+                format!(
+                    "`pub fn {name}` is named in no other file — delete it, or drop \
+                     `pub` if this file still calls it"
+                ),
+            ));
+        }
+    }
+}
+
 fn snippet(file: &LexedFile, idx: usize) -> String {
     file.code
         .get(idx)
         .map(|l| l.trim().chars().take(120).collect())
         .unwrap_or_default()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lexer::lex;
+
+    #[test]
+    fn pub_fn_names_skip_qualifiers_and_restricted_visibility() {
+        assert_eq!(
+            pub_fn_name("    pub fn shuffle<T>(x: T)"),
+            Some("shuffle".into())
+        );
+        assert_eq!(
+            pub_fn_name("pub const fn flops() -> f64 {"),
+            Some("flops".into())
+        );
+        assert_eq!(pub_fn_name("pub(crate) fn hidden() {"), None);
+        assert_eq!(pub_fn_name("fn private() {"), None);
+        assert_eq!(pub_fn_name("pub struct Fn;"), None);
+    }
+
+    #[test]
+    fn definitions_literals_and_comments_are_not_references() {
+        let f = lex(
+            "fn defined() {}\nlet f: fn(u32) = called; // mentioned\nlet s = \"quoted\"; 7u32;",
+        );
+        let toks = reference_tokens(&f);
+        assert!(!toks.contains("defined"));
+        // `fn(` is a pointer type, not a definition: the next name counts.
+        assert!(toks.contains("u32") && toks.contains("called"));
+        assert!(!toks.contains("mentioned") && !toks.contains("quoted"));
+        assert!(!toks.contains("7u32"));
+    }
 }

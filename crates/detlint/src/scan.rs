@@ -3,7 +3,7 @@
 
 use crate::lexer;
 use crate::report::Report;
-use crate::rules::{self, Scope};
+use crate::rules::{self, RefIndex, Scope};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -15,7 +15,17 @@ use std::path::{Path, PathBuf};
 ///   deliberately mirroring foreign APIs.
 /// - `crates/detlint/fixtures`: the lint's own test corpus of deliberate
 ///   violations.
-const SKIP_PREFIXES: [&str; 4] = ["target", "vendor", ".git", "crates/detlint/fixtures"];
+/// - `.bench_build`, `.bench_out`, `perfbench/target`: perfbench's build
+///   and run output.
+const SKIP_PREFIXES: [&str; 7] = [
+    "target",
+    "vendor",
+    ".git",
+    "crates/detlint/fixtures",
+    ".bench_build",
+    ".bench_out",
+    "perfbench/target",
+];
 
 /// Recursively collects workspace-relative paths of `.rs` files under
 /// `root`, sorted for deterministic reports.
@@ -58,15 +68,19 @@ fn rel_path(root: &Path, path: &Path) -> String {
 }
 
 /// Scans the workspace rooted at `root` and returns the full report.
+///
+/// Every file is lexed first so the `dead-pub` reference index covers the
+/// whole tree; the rule pass then runs file by file.
 pub fn scan(root: &Path) -> io::Result<Report> {
     let files = collect_rust_files(root)?;
+    let lexed = files
+        .iter()
+        .map(|rel| Ok(lexer::lex(&fs::read_to_string(root.join(rel))?)))
+        .collect::<io::Result<Vec<_>>>()?;
+    let refs = RefIndex::build(&lexed);
     let mut report = Report::new(root.display().to_string());
-    for rel in &files {
-        let src = fs::read_to_string(root.join(rel))?;
-        let lexed = lexer::lex(&src);
-        let scope = Scope::for_path(rel);
-        let file_report = rules::check_file(rel, &lexed, scope);
-        report.absorb(file_report);
+    for (rel, file) in files.iter().zip(&lexed) {
+        report.absorb(rules::check_file(rel, file, Scope::for_path(rel), &refs));
     }
     report.finish(files.len());
     Ok(report)

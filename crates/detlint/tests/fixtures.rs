@@ -1,6 +1,8 @@
 //! Fixture-corpus tests: one deliberate violation and one valid waiver per
 //! rule, scope exemptions (bench, cluster coordinator, test code), lexer
-//! tricky cases, and the JSON report shape. The corpus lives in
+//! tricky cases, and the JSON report shape. `simcore/tests/callers.rs`
+//! calls every fixture `pub fn` but the `dead-pub` subjects, so each
+//! file's expectations stay those of the rule it is about. The corpus lives in
 //! `fixtures/ws/` and is excluded from real scans by `scan::SKIP_PREFIXES`.
 
 use detlint::scan;
@@ -35,6 +37,7 @@ fn fixture_violations_exact() {
         ("crates/simcore/src/bad_waiver.rs", 2, "bad-waiver"),
         ("crates/simcore/src/bad_waiver.rs", 3, "bad-waiver"),
         ("crates/simcore/src/clock.rs", 2, "wall-clock"),
+        ("crates/simcore/src/dead_pub.rs", 4, "dead-pub"),
         ("crates/simcore/src/panics.rs", 2, "panic"),
         ("crates/simcore/src/panics.rs", 12, "panic"),
         ("crates/simcore/src/randomness.rs", 2, "rng"),
@@ -48,7 +51,7 @@ fn fixture_violations_exact() {
     .map(|(f, l, r)| (f.to_string(), *l, r.to_string()))
     .collect();
     assert_eq!(got, expected, "violation set must match the corpus exactly");
-    assert_eq!(report.files_scanned, 16);
+    assert_eq!(report.files_scanned, 18);
     assert!(!report.is_clean());
 }
 
@@ -89,6 +92,9 @@ fn fixture_diagnostics_render_exact() {
          gracefully (debug_assert + fallback) instead of panicking\n    v.unwrap()\n",
         "crates/simcore/src/unsafe_block.rs:2: [unsafe] `unsafe` without a `// SAFETY:` \
          comment on or directly above the line\n",
+        "crates/simcore/src/dead_pub.rs:4: [dead-pub] `pub fn never_called` is named in \
+         no other file — delete it, or drop `pub` if this file still calls it\n    \
+         pub fn never_called() -> u32 {\n",
         "crates/simcore/src/bad_waiver.rs:3: [bad-waiver] malformed waiver: expected \
          `detlint: allow(<rule>) — <justification>`\n",
         "crates/simcore/src/bad_waiver.rs:2: [bad-waiver] waiver names unknown rule \
@@ -112,7 +118,7 @@ fn fixture_diagnostics_render_exact() {
 
     // Summary footer.
     assert!(
-        text.contains("detlint: 16 file(s) scanned, 16 violation(s), 13 waiver(s)"),
+        text.contains("detlint: 18 file(s) scanned, 17 violation(s), 14 waiver(s)"),
         "summary mismatch:\n{text}"
     );
 }
@@ -120,7 +126,7 @@ fn fixture_diagnostics_render_exact() {
 #[test]
 fn fixture_waiver_audit() {
     let report = scan(&fixture_root()).expect("fixture scan");
-    assert_eq!(report.waivers.len(), 13);
+    assert_eq!(report.waivers.len(), 14);
 
     let by_loc: Vec<(&str, usize, &str, bool, bool)> = report
         .waivers
@@ -165,6 +171,7 @@ fn fixture_waiver_audit() {
             false,
         ),
         ("crates/simcore/src/clock.rs", 7, "wall-clock", true, false),
+        ("crates/simcore/src/dead_pub.rs", 8, "dead-pub", true, false),
         ("crates/simcore/src/panics.rs", 6, "panic", true, false),
         ("crates/simcore/src/panics.rs", 11, "panic", true, true),
         ("crates/simcore/src/randomness.rs", 7, "rng", true, false),
@@ -180,7 +187,11 @@ fn fixture_waiver_audit() {
     );
 
     let audit = report.render_waivers();
-    assert!(audit.starts_with("13 waiver(s) declared:\n"));
+    assert!(audit.starts_with("14 waiver(s) declared:\n"));
+    assert!(audit.contains(
+        "crates/simcore/src/dead_pub.rs:8: allow(dead-pub) — \
+         fixture: the embedding API of an out-of-tree plugin"
+    ));
     assert!(audit.contains(
         "crates/simcore/src/raw_sync.rs:6: allow(raw-sync) — \
          one-shot init flag for a doc example, not sim state"
@@ -242,6 +253,17 @@ fn fixture_scope_exemptions_hold() {
         .map(|v| v.rule.as_str())
         .collect();
     assert_eq!(sync_rules, ["lock-order"]);
+    // `dead-pub` counts code tokens in every other file, test blocks
+    // included: the `pub fn` named only inside `cfg_test.rs`'s
+    // `#[cfg(test)]` module is used, while the one named only by its own
+    // file, a comment and a string literal is dead.
+    let dead: Vec<&str> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "dead-pub")
+        .map(|v| v.snippet.as_str())
+        .collect();
+    assert_eq!(dead, ["pub fn never_called() -> u32 {"]);
 }
 
 #[test]
@@ -252,11 +274,11 @@ fn json_report_round_trips() {
 
     assert_eq!(
         value.get("schema_version").and_then(|v| v.as_u64()),
-        Some(2)
+        Some(3)
     );
     assert_eq!(
         value.get("files_scanned").and_then(|v| v.as_u64()),
-        Some(16)
+        Some(18)
     );
 
     let violations = value
@@ -281,7 +303,7 @@ fn json_report_round_trips() {
         .get("waivers")
         .and_then(|v| v.as_array())
         .expect("waivers array");
-    assert_eq!(waivers.len(), 13);
+    assert_eq!(waivers.len(), 14);
     assert_eq!(waivers[0].get("used").and_then(|v| v.as_bool()), Some(true));
 
     // Every diagnostic record carries its rule name.
@@ -298,7 +320,7 @@ fn json_report_round_trips() {
         );
     }
 
-    // Per-rule tallies: all eight rules in declaration order, then the
+    // Per-rule tallies: all nine rules in declaration order, then the
     // bad-waiver tally.
     let per_rule = value
         .get("per_rule")
@@ -353,6 +375,24 @@ fn exit_codes_split_bad_waivers_from_findings() {
     let mut clean = detlint::Report::new("synthetic".to_string());
     clean.finish(0);
     assert_eq!(clean.exit_code(), 0);
+}
+
+#[test]
+fn walker_skips_build_and_bench_output() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("detlint_walker");
+    for rel in [
+        "target/a.rs",
+        ".bench_build/b.rs",
+        ".bench_out/c.rs",
+        "perfbench/target/d.rs",
+        "perfbench/src/kept.rs",
+    ] {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+        std::fs::write(&path, "fn f() {}\n").expect("write");
+    }
+    let files = detlint::scan::collect_rust_files(&root).expect("walk");
+    assert_eq!(files, ["perfbench/src/kept.rs"]);
 }
 
 #[test]

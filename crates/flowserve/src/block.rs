@@ -141,11 +141,6 @@ impl BlockPool {
             false
         }
     }
-
-    /// Current reference count of a block.
-    pub fn refcount(&self, id: BlockId) -> u32 {
-        self.ref_counts[id.0 as usize]
-    }
 }
 
 /// A sequence's mapping from logical token positions to physical blocks.

@@ -157,7 +157,7 @@ impl DistFlow {
     }
 
     /// Whether two endpoints are linked (same endpoint is always linked).
-    pub fn is_linked(&self, a: NpuId, b: NpuId) -> bool {
+    fn is_linked(&self, a: NpuId, b: NpuId) -> bool {
         a == b || self.links.contains(&pair(a, b))
     }
 
@@ -174,18 +174,8 @@ impl DistFlow {
 
     /// Data plane: plans `transfer(srcInfo, dstInfo)`. Validates the link
     /// and sizes, picks a backend by topology, and returns the plan for the
-    /// clock owner to execute.
-    pub fn transfer(
-        &mut self,
-        src: BufferInfo,
-        dst: BufferInfo,
-        link_kind: LinkKind,
-    ) -> Result<TransferPlan, DistFlowError> {
-        self.transfer_at(SimTime::ZERO, src, dst, link_kind)
-    }
-
-    /// [`DistFlow::transfer`] with a sim-time stamp for tracing. Planning
-    /// itself is instantaneous; `now` only timestamps the emitted records.
+    /// clock owner to execute. Planning itself is instantaneous; `now` only
+    /// timestamps the emitted trace records.
     pub fn transfer_at(
         &mut self,
         now: SimTime,
@@ -279,7 +269,8 @@ mod tests {
     fn unlinked_transfer_is_rejected() {
         let mut df = DistFlow::new(false);
         let err = df
-            .transfer(
+            .transfer_at(
+                SimTime::ZERO,
                 buf(NpuId::new(0, 0), MemTier::Hbm, 100),
                 buf(NpuId::new(1, 0), MemTier::Hbm, 100),
                 LinkKind::Roce,
@@ -293,7 +284,8 @@ mod tests {
         let mut df = DistFlow::new(false);
         let a = NpuId::new(0, 0);
         let err = df
-            .transfer(
+            .transfer_at(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 100),
                 buf(a, MemTier::Dram, 200),
                 LinkKind::Local,
@@ -310,7 +302,8 @@ mod tests {
         let c = NpuId::new(1, 0);
         df.link_cluster(&[a, b, c]);
         let hccs = df
-            .transfer(
+            .transfer_at(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 64),
                 buf(b, MemTier::Hbm, 64),
                 LinkKind::Hccs,
@@ -319,7 +312,8 @@ mod tests {
         assert_eq!(hccs.backend, Backend::HcclP2p);
         assert!(hccs.crosses_fabric);
         let roce = df
-            .transfer(
+            .transfer_at(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 64),
                 buf(c, MemTier::Hbm, 64),
                 LinkKind::Roce,
@@ -327,7 +321,8 @@ mod tests {
             .unwrap();
         assert_eq!(roce.backend, Backend::Roce);
         let local = df
-            .transfer(
+            .transfer_at(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 64),
                 buf(a, MemTier::Dram, 64),
                 LinkKind::Local,
@@ -344,7 +339,8 @@ mod tests {
         let b = NpuId::new(2, 0);
         df.link_cluster(&[a, b]);
         let plan = df
-            .transfer(
+            .transfer_at(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 64),
                 buf(b, MemTier::Hbm, 64),
                 LinkKind::Hccs,
@@ -358,7 +354,8 @@ mod tests {
         let mut df = DistFlow::new(false);
         let a = NpuId::new(0, 0);
         for _ in 0..3 {
-            df.transfer(
+            df.transfer_at(
+                SimTime::ZERO,
                 buf(a, MemTier::Hbm, 1000),
                 buf(a, MemTier::Dram, 1000),
                 LinkKind::Local,

@@ -437,8 +437,7 @@ impl Engine {
             let bytes = dram_tokens as u64 * self.cost.model().kv_bytes_per_token();
             let fetch_s = bytes as f64 / self.cfg.populate_bandwidth;
             let recompute_s = self.cost.recompute_time(dram_tokens as u64).as_secs_f64();
-            let beneficial = !self.cfg.populate_cost_model || fetch_s < recompute_s;
-            if beneficial {
+            if fetch_s < recompute_s {
                 if let Some(plan) = self.rtc.populate(now, &m) {
                     let ticket = plan.ticket;
                     self.populating.insert(ticket, req.new.id);
@@ -968,12 +967,7 @@ impl Engine {
         }
 
         // --- prefill side ---
-        let do_prefill = match self.cfg.mode {
-            EngineMode::PrefillOnly => true,
-            EngineMode::DecodeOnly => false,
-            EngineMode::Colocated => self.cfg.chunked_prefill || decode_ids.is_empty(),
-        };
-        if do_prefill {
+        if self.cfg.mode != EngineMode::DecodeOnly {
             let mut budget = self.cfg.prefill_chunk_tokens;
             let mut ctx_weighted: u64 = 0;
             // Continue in-flight prefills first, then admit new ones.
@@ -1206,7 +1200,7 @@ impl Engine {
 
     fn finish_prefill(&mut self, at: SimTime, id: RequestId, events: &mut Vec<EngineEvent>) {
         self.running_prefill.retain(|&r| r != id);
-        let (prompt, cache_id, blocks, should_cache, is_first_completion) = {
+        let (prompt, cache_id, blocks, is_first_completion) = {
             let Some(req) = self.requests.get_mut(id) else {
                 debug_assert!(false, "engine invariant: untracked request {id:?}");
                 return;
@@ -1217,20 +1211,15 @@ impl Engine {
                 req.generated = 1;
                 self.stats.output_tokens += 1;
             }
-            let should_cache = match self.cfg.mode {
-                EngineMode::PrefillOnly => self.cfg.cache_on_prefill,
-                _ => self.cfg.prefix_caching,
-            };
             (
                 req.new.prompt.clone(),
                 req.new.cache_id,
                 req.table.blocks().to_vec(),
-                should_cache,
                 is_first,
             )
         };
         // Implicit caching: register the prompt's full blocks.
-        if should_cache {
+        if self.cfg.prefix_caching {
             let chain = self.rtc.insert_prefix(at, &prompt, &blocks);
             if let Some(cid) = cache_id {
                 self.rtc.register_id(cid, chain);

@@ -355,33 +355,6 @@ impl RadixTree {
         }
         Some(freed)
     }
-
-    /// Removes a leaf node, returning its block and tier so the caller can
-    /// release or migrate the storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node has children or is locked.
-    pub fn remove_leaf(&mut self, id: NodeId) -> (BlockId, Location) {
-        let (parent, hash, block, location) = {
-            let n = self.node(id);
-            assert!(n.children.is_empty(), "remove_leaf on interior node");
-            assert_eq!(n.locks, 0, "remove_leaf on locked node");
-            (n.parent, n.hash, n.block, n.location)
-        };
-        match parent {
-            Some(p) => {
-                self.node_mut(p).children.remove(&hash);
-            }
-            None => {
-                self.roots.remove(&hash);
-            }
-        }
-        self.nodes[id.0 as usize] = None;
-        self.free_slots.push(id.0);
-        self.node_count -= 1;
-        (block, location)
-    }
 }
 
 #[cfg(test)]
@@ -475,9 +448,8 @@ mod tests {
         assert!(t.evictable(Location::Npu).is_empty());
         t.unlock(&[chain[2]]);
         // Remove the leaf; its parent becomes the frontier.
-        let (blk, loc) = t.remove_leaf(chain[2]);
-        assert_eq!(blk, BlockId(2));
-        assert_eq!(loc, Location::Npu);
+        let freed = t.try_remove_subtree(chain[2]);
+        assert_eq!(freed, Some(vec![(BlockId(2), Location::Npu)]));
         assert_eq!(t.evictable(Location::Npu), vec![chain[1]]);
         assert_eq!(t.len(), 2);
     }
@@ -496,20 +468,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "interior node")]
-    fn removing_interior_node_panics() {
-        let mut t = RadixTree::new(B);
-        let a = toks(1, 32);
-        let (chain, _) = t.insert(SimTime::ZERO, &a, &blocks(0, 2));
-        t.remove_leaf(chain[0]);
-    }
-
-    #[test]
     fn node_slots_are_reused() {
         let mut t = RadixTree::new(B);
         let a = toks(1, 16);
         let (c1, _) = t.insert(SimTime::ZERO, &a, &blocks(0, 1));
-        t.remove_leaf(c1[0]);
+        t.try_remove_subtree(c1[0]);
         let b = toks(2, 16);
         let (c2, _) = t.insert(SimTime::ZERO, &b, &blocks(1, 1));
         assert_eq!(c1[0], c2[0], "slot should be recycled");

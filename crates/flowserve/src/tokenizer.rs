@@ -47,11 +47,6 @@ impl Tokenizer {
         Tokenizer { vocab_size }
     }
 
-    /// Vocabulary size.
-    pub fn vocab_size(&self) -> u32 {
-        self.vocab_size
-    }
-
     /// Tokenizes text: words split on whitespace, long words split into
     /// <= 4-char pieces, each piece hashed (FNV-1a) into the vocab. Equal
     /// strings always produce equal token sequences, and a shared string
@@ -106,11 +101,6 @@ impl Default for Tokenizer {
 pub struct Prompt(std::sync::Arc<[TokenId]>);
 
 impl Prompt {
-    /// The empty prompt (e.g. a freed slot after completion).
-    pub fn empty() -> Self {
-        Prompt(std::sync::Arc::from(Vec::new()))
-    }
-
     /// The tokens as a slice.
     pub fn as_slice(&self) -> &[TokenId] {
         &self.0

@@ -72,28 +72,28 @@ impl BatchWork {
 
     /// Tokens entering the batch (prefill chunk + one per decode seq) —
     /// the activation row count for communication sizing.
-    pub fn batch_tokens(&self) -> u64 {
+    fn batch_tokens(&self) -> u64 {
         self.prefill_tokens + self.decode_seqs
     }
 }
 
 /// Where one iteration's time went.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct StepBreakdown {
+#[derive(Debug, Clone, Copy, Default)]
+struct StepBreakdown {
     /// Compute-bound component (seconds).
-    pub compute_s: f64,
+    compute_s: f64,
     /// Memory-bound component (seconds).
-    pub memory_s: f64,
+    memory_s: f64,
     /// TP/PP communication component (seconds).
-    pub comm_s: f64,
+    comm_s: f64,
     /// Fixed iteration floor (seconds).
-    pub floor_s: f64,
+    floor_s: f64,
 }
 
 impl StepBreakdown {
     /// Total iteration time: roofline max of compute/memory, plus comm and
     /// the fixed floor.
-    pub fn total(&self) -> SimDuration {
+    fn total(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.compute_s.max(self.memory_s) + self.comm_s + self.floor_s)
     }
 }
@@ -144,7 +144,7 @@ impl ExecCostModel {
     }
 
     /// Detailed cost of one iteration.
-    pub fn step_breakdown(&self, w: &BatchWork) -> StepBreakdown {
+    fn step_breakdown(&self, w: &BatchWork) -> StepBreakdown {
         if w.is_empty() {
             return StepBreakdown::default();
         }
@@ -210,43 +210,18 @@ impl ExecCostModel {
         self.step_breakdown(w).total()
     }
 
-    /// Convenience: full prefill of a `seq_len`-token prompt with
-    /// `cached` tokens already in KV.
-    pub fn prefill_time(&self, seq_len: u64, cached: u64) -> SimDuration {
-        self.step_time(&BatchWork::prefill(seq_len.saturating_sub(cached), cached))
-    }
-
     /// Convenience: one decode iteration for `batch` sequences at an
     /// average context of `avg_context` tokens.
     pub fn decode_iter_time(&self, batch: u64, avg_context: u64) -> SimDuration {
         self.step_time(&BatchWork::decode(batch, batch * avg_context))
     }
 
-    /// NPU time for `iterations` consecutive pure-decode steps of a fixed
-    /// `seqs`-sequence batch starting at `context_total` total context
-    /// tokens (context grows by `seqs` each step).
-    ///
-    /// Deliberately *not* a closed-form integral: each step is priced and
-    /// rounded to integer nanoseconds exactly like [`Self::step_time`], so
-    /// macro-stepped runs stay bit-identical to single-stepped ones — a
-    /// float summation could drift by an ulp and break replay.
-    pub fn decode_run_time(&self, seqs: u64, context_total: u64, iterations: u64) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        let mut ctx = context_total;
-        for _ in 0..iterations {
-            ctx += seqs;
-            total += self.step_time(&BatchWork::decode(seqs, ctx));
-        }
-        total
-    }
-
     /// Vectorized per-step pricing: appends the durations of `steps`
     /// consecutive pure-decode iterations of a fixed `seqs`-sequence
     /// batch into `out`, starting at `context_start` total context
-    /// tokens (context grows by `seqs` before each step, exactly like
-    /// [`Self::decode_run_time`]).
+    /// tokens (context grows by `seqs` before each step).
     ///
-    /// The context-invariant terms of [`Self::step_breakdown`] — linear
+    /// The context-invariant terms of `step_breakdown` — linear
     /// FLOPs, weight-streaming bytes, TP/PP communication (decode batch
     /// tokens equal `seqs`, independent of context) and the fixed floor
     /// — are hoisted out of the loop; only the attention FLOPs and KV
@@ -368,7 +343,7 @@ mod tests {
         // Sanity-calibration: 34B TP=4 prefill of 2K tokens lands in the
         // 0.1-1.0 s range the paper's TTFT numbers imply.
         let m = model_34b_tp4();
-        let t = m.prefill_time(2048, 0).as_secs_f64();
+        let t = m.step_time(&BatchWork::prefill(2048, 0)).as_secs_f64();
         assert!((0.1..1.0).contains(&t), "prefill(2048) = {t}s");
     }
 
@@ -388,21 +363,6 @@ mod tests {
         let t64 = m.decode_iter_time(64, 2048).as_secs_f64();
         // 64x the work in far less than 64x the time.
         assert!(t64 < 8.0 * t1, "t1={t1} t64={t64}");
-    }
-
-    #[test]
-    fn decode_run_time_matches_per_step_sum() {
-        // The multi-iteration helper must reproduce the per-step
-        // integer-nanosecond rounding exactly — this is the arithmetic the
-        // fast-forward path relies on for bit-identical replay.
-        let m = model_34b_tp4();
-        let (seqs, mut ctx, iters) = (48u64, 48 * 777u64, 100u64);
-        let mut manual = SimDuration::ZERO;
-        for _ in 0..iters {
-            ctx += seqs;
-            manual += m.step_time(&BatchWork::decode(seqs, ctx));
-        }
-        assert_eq!(m.decode_run_time(48, 48 * 777, iters), manual);
     }
 
     #[test]
@@ -441,8 +401,8 @@ mod tests {
     #[test]
     fn prefix_cache_hit_speeds_up_prefill() {
         let m = model_34b_tp4();
-        let cold = m.prefill_time(4096, 0);
-        let warm = m.prefill_time(4096, 3072);
+        let cold = m.step_time(&BatchWork::prefill(4096, 0));
+        let warm = m.step_time(&BatchWork::prefill(4096 - 3072, 3072));
         assert!(warm < cold);
         assert!(warm.as_secs_f64() < 0.5 * cold.as_secs_f64());
     }

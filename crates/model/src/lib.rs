@@ -4,7 +4,7 @@
 //! it:
 //!
 //! * [`spec`] — geometry presets for the paper's models (Llama3-8B, the
-//!   internal 34B, Llama3-70B, Qwen2-72B, a DeepSeek-style MLA model):
+//!   internal 34B, Llama3-70B, a DeepSeek-style MLA model):
 //!   weight sizes, KV bytes per token, FLOPs per token.
 //! * [`parallel`] — TP/PP/DP/SP configurations and how they partition
 //!   weights and KV cache across executors.
@@ -20,7 +20,7 @@ pub mod parallel;
 pub mod spec;
 pub mod weights;
 
-pub use cost::{BatchWork, ExecCostModel, StepBreakdown};
+pub use cost::{BatchWork, ExecCostModel};
 pub use parallel::Parallelism;
 pub use spec::{AttentionKind, ModelSpec};
 pub use weights::Checkpoint;

@@ -92,25 +92,6 @@ impl Parallelism {
     }
 }
 
-/// Standard production configuration for a model on a given chip: picks the
-/// smallest TP that fits weights in HBM while leaving `kv_headroom`
-/// (fraction) for KV cache.
-pub fn min_tp_for(model: &ModelSpec, hbm_bytes: u64, kv_headroom: f64) -> u32 {
-    assert!(
-        (0.0..1.0).contains(&kv_headroom),
-        "kv_headroom must be in [0, 1)"
-    );
-    let budget = (hbm_bytes as f64 * (1.0 - kv_headroom)) as u64;
-    let mut tp = 1u32;
-    while tp <= 64 {
-        if model.weight_bytes() / tp as u64 <= budget {
-            return tp;
-        }
-        tp *= 2;
-    }
-    tp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,17 +137,5 @@ mod tests {
             p.kv_bytes_per_token_per_npu(&gqa),
             gqa.kv_bytes_per_token() / 4
         );
-    }
-
-    #[test]
-    fn min_tp_fits_hbm() {
-        let hbm = 64 * (1u64 << 30);
-        // 8B FP16 = 16 GB fits in one gen2 card with half headroom.
-        assert_eq!(min_tp_for(&ModelSpec::llama3_8b(), hbm, 0.5), 1);
-        // 70B FP16 = 131.5 GB needs TP4 with 50% headroom on 64 GB cards.
-        assert_eq!(min_tp_for(&ModelSpec::llama3_70b(), hbm, 0.5), 8);
-        assert_eq!(min_tp_for(&ModelSpec::llama3_70b(), hbm, 0.2), 4);
-        // 34B with the paper's TP=4 leaves most HBM for KV.
-        assert!(min_tp_for(&ModelSpec::internal_34b(), hbm, 0.5) <= 4);
     }
 }

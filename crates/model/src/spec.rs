@@ -144,23 +144,6 @@ impl ModelSpec {
         }
     }
 
-    /// Qwen2-72B: the other pre-warmed-TE adaptability target (§6.1).
-    pub fn qwen2_72b() -> Self {
-        ModelSpec {
-            name: "qwen2-72b",
-            params: 72_700_000_000,
-            num_layers: 80,
-            hidden: 8192,
-            num_heads: 64,
-            num_kv_heads: 8,
-            head_dim: 128,
-            vocab: 152_064,
-            dtype_bytes: 2,
-            attention: AttentionKind::Gqa,
-            max_context: 32768,
-        }
-    }
-
     /// A generic 7B model ("100 7B models fit in 1.5 TB DRAM", §6.2).
     pub fn generic_7b() -> Self {
         ModelSpec {
@@ -210,18 +193,6 @@ impl ModelSpec {
             attention: AttentionKind::Gqa,
             max_context: 2048,
         }
-    }
-
-    /// The catalog of production presets (everything except the test model).
-    pub fn catalog() -> Vec<ModelSpec> {
-        vec![
-            Self::generic_7b(),
-            Self::llama3_8b(),
-            Self::internal_34b(),
-            Self::deepseek_mla(),
-            Self::llama3_70b(),
-            Self::qwen2_72b(),
-        ]
     }
 }
 
@@ -273,14 +244,5 @@ mod tests {
         assert_eq!(m.linear_flops_per_token(), 2.0 * 34.4e9);
         assert!(m.attn_flops_per_token(4096) > m.attn_flops_per_token(1024));
         assert_eq!(m.attn_flops_per_token(0), 0.0);
-    }
-
-    #[test]
-    fn catalog_is_sorted_by_size_and_unique() {
-        let cat = ModelSpec::catalog();
-        for w in cat.windows(2) {
-            assert!(w[0].params <= w[1].params);
-            assert_ne!(w[0].name, w[1].name);
-        }
     }
 }

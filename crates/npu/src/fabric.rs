@@ -205,11 +205,6 @@ impl Fabric {
         done_transfers.sort_unstable();
         done_transfers
     }
-
-    /// Number of in-flight transfers.
-    pub fn active_transfers(&self) -> usize {
-        self.transfers.len()
-    }
 }
 
 #[cfg(test)]
@@ -298,7 +293,6 @@ mod tests {
             Some(SimTime::from_secs(1))
         );
         assert_eq!(f.advance_to(SimTime::from_secs(1)), vec![id]);
-        assert_eq!(f.active_transfers(), 0);
     }
 
     #[test]

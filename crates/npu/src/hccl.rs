@@ -46,22 +46,6 @@ pub fn all_reduce_time(link: &LinkSpec, n: usize, bytes: u64) -> SimDuration {
     alpha(link).saturating_mul(steps) + SimDuration::from_secs_f64(volume / beta_bw(link))
 }
 
-/// Ring `reduce_scatter` over `n` ranks, `bytes` per rank.
-pub fn reduce_scatter_time(link: &LinkSpec, n: usize, bytes: u64) -> SimDuration {
-    if n <= 1 {
-        return SimDuration::ZERO;
-    }
-    let n_f = n as f64;
-    let volume = (n_f - 1.0) / n_f * bytes as f64;
-    alpha(link).saturating_mul(n as u64 - 1) + SimDuration::from_secs_f64(volume / beta_bw(link))
-}
-
-/// Ring `all_gather` over `n` ranks, `bytes` gathered per rank.
-pub fn all_gather_time(link: &LinkSpec, n: usize, bytes: u64) -> SimDuration {
-    // Same volume/step structure as reduce_scatter.
-    reduce_scatter_time(link, n, bytes)
-}
-
 /// Pipelined `broadcast` of `bytes` from one root to `n - 1` receivers.
 ///
 /// The payload is cut into [`BROADCAST_PIPELINE_CHUNKS`] chunks relayed down
@@ -145,13 +129,5 @@ mod tests {
     #[test]
     fn zero_bytes_broadcast_is_free() {
         assert_eq!(broadcast_time(&hccs(), 16, 0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn gather_and_scatter_match() {
-        assert_eq!(
-            all_gather_time(&hccs(), 4, GB),
-            reduce_scatter_time(&hccs(), 4, GB)
-        );
     }
 }

@@ -4,7 +4,7 @@
 //! this crate is the substitution (DESIGN.md, substitution table): a
 //! parametric model of the same hardware with calibrated analytic costs.
 //!
-//! * [`specs`] — chips (Gen1/Gen2/SuperPod), eight-card servers with shared
+//! * [`specs`] — chips (Gen2/SuperPod), eight-card servers with shared
 //!   PCIe switches and 1.5 TB DRAM, cluster topology with HCCS domains.
 //! * [`hccl`] — alpha-beta cost models for the Huawei Collective
 //!   Communication Library: `send`/`recv`, ring `all_reduce`, pipelined

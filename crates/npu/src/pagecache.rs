@@ -11,7 +11,6 @@
 //! yields a mixed hit/miss read — exactly the behaviour that makes
 //! safetensors + on-demand partition reads attractive in the paper.
 
-use simcore::SimDuration;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 
@@ -111,18 +110,6 @@ pub struct ReadBreakdown {
     pub miss_bytes: u64,
 }
 
-impl ReadBreakdown {
-    /// Hit ratio in `[0, 1]`; 1.0 for empty reads.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hit_bytes + self.miss_bytes;
-        if total == 0 {
-            1.0
-        } else {
-            self.hit_bytes as f64 / total as f64
-        }
-    }
-}
-
 /// A server's DRAM page cache with LRU eviction at file granularity.
 ///
 /// Eviction granularity is whole files because DeepServe pre-loads and
@@ -193,7 +180,7 @@ impl PageCache {
 
     /// Reads `range` of `file` through the cache: resident bytes hit, the
     /// rest fault from SSD and become resident. Returns the hit/miss split;
-    /// the caller converts it to time via [`read_time`].
+    /// the caller prices each source at its own bandwidth.
     pub fn read(&mut self, file: FileId, range: ByteRange) -> ReadBreakdown {
         let hit = self.resident_bytes(file, range);
         let miss = range.len() - hit;
@@ -228,16 +215,6 @@ impl PageCache {
     }
 }
 
-/// Converts a read breakdown to time, given the source bandwidths. Hit bytes
-/// stream at `dram_bw`, miss bytes at `ssd_bw` (the slower of faulting and
-/// streaming dominates; reads from the two sources do not overlap in the
-/// worst case, which is what we model).
-pub fn read_time(b: ReadBreakdown, dram_bw: f64, ssd_bw: f64) -> SimDuration {
-    assert!(dram_bw > 0.0 && ssd_bw > 0.0, "bandwidths must be positive");
-    SimDuration::from_secs_f64(b.hit_bytes as f64 / dram_bw)
-        + SimDuration::from_secs_f64(b.miss_bytes as f64 / ssd_bw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,7 +232,6 @@ mod tests {
         let second = pc.read(f, r);
         assert_eq!(second.hit_bytes, 2 * GB);
         assert_eq!(second.miss_bytes, 0);
-        assert_eq!(second.hit_ratio(), 1.0);
     }
 
     #[test]
@@ -266,7 +242,6 @@ mod tests {
         let b = pc.read(f, ByteRange::new(0, 2 * GB));
         assert_eq!(b.hit_bytes, GB);
         assert_eq!(b.miss_bytes, GB);
-        assert!((b.hit_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -312,16 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn read_time_uses_source_bandwidths() {
-        let b = ReadBreakdown {
-            hit_bytes: 200_000_000_000, // 200 GB at 200 GB/s = 1s
-            miss_bytes: 3_500_000_000,  // 3.5 GB at 3.5 GB/s = 1s
-        };
-        let t = read_time(b, 200e9, 3.5e9);
-        assert!((t.as_secs_f64() - 2.0).abs() < 1e-9, "{t}");
-    }
-
-    #[test]
     fn drop_file_frees_space() {
         let mut pc = PageCache::new(4 * GB);
         pc.preload(FileId(1), ByteRange::new(0, 2 * GB));
@@ -335,6 +300,5 @@ mod tests {
         let mut pc = PageCache::new(GB);
         let b = pc.read(FileId(1), ByteRange::new(5, 5));
         assert_eq!(b.hit_bytes + b.miss_bytes, 0);
-        assert_eq!(b.hit_ratio(), 1.0);
     }
 }

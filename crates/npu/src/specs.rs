@@ -9,13 +9,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// NPU cluster generation (Figure 1(g): Gen1 and Gen2 are in production,
-/// Gen3/SuperPod is planned).
+/// NPU cluster generation (Figure 1(g): Gen2 is in production alongside
+/// an older Gen1, which is not modeled; Gen3/SuperPod is planned).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Generation {
-    /// Regular scale-out servers, first production generation.
-    Gen1,
-    /// Second production generation: more compute, more HBM.
+    /// Regular scale-out servers, second production generation.
     Gen2,
     /// SuperPod: large scale-up domain with global shared memory.
     Gen3SuperPod,
@@ -41,18 +39,6 @@ pub struct ChipSpec {
 }
 
 impl ChipSpec {
-    /// First-generation chip: 280 TFLOPS FP16, 32 GB HBM @ 1.2 TB/s.
-    pub fn gen1() -> Self {
-        ChipSpec {
-            name: "ascend-gen1",
-            generation: Generation::Gen1,
-            tflops_fp16: 280.0,
-            hbm_bytes: 32 * (1 << 30),
-            hbm_bw: 1.2e12,
-            has_transfer_aicpu: true,
-        }
-    }
-
     /// Second-generation chip: 400 TFLOPS FP16, 64 GB HBM @ 1.8 TB/s.
     pub fn gen2() -> Self {
         ChipSpec {
@@ -197,11 +183,6 @@ impl ClusterSpec {
         c.server.chip.generation = Generation::Gen3SuperPod;
         c
     }
-
-    /// Total NPU count.
-    pub fn total_npus(&self) -> usize {
-        self.num_servers * self.server.chips_per_server
-    }
 }
 
 /// Global NPU coordinate: `(server, chip-on-server)`.
@@ -240,12 +221,9 @@ mod tests {
 
     #[test]
     fn presets_match_paper_ranges() {
-        let g1 = ChipSpec::gen1();
         let g2 = ChipSpec::gen2();
-        assert!(g1.tflops_fp16 >= 280.0 && g2.tflops_fp16 <= 400.0);
-        assert_eq!(g1.hbm_bytes, 32 << 30);
+        assert!(g2.tflops_fp16 <= 400.0);
         assert_eq!(g2.hbm_bytes, 64 << 30);
-        assert!(g2.flops() > g1.flops());
     }
 
     #[test]
@@ -296,7 +274,6 @@ mod tests {
         assert!(c.contains(NpuId::new(1, 7)));
         assert!(!c.contains(NpuId::new(2, 0)));
         assert!(!c.contains(NpuId::new(0, 8)));
-        assert_eq!(c.total_npus(), 16);
     }
 
     #[test]

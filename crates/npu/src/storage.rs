@@ -210,14 +210,6 @@ impl ServerStore {
         }
     }
 
-    /// A store with explicit tier capacities (tests, eviction studies).
-    pub fn with_capacities(dram_bytes: u64, ssd_bytes: u64) -> Self {
-        ServerStore {
-            dram: PageCache::new(dram_bytes),
-            ssd: SsdStore::new(ssd_bytes),
-        }
-    }
-
     /// The closest tier that can serve `range` of `file` right now,
     /// without mutating residency. DRAM counts when at least half the
     /// range is cached (partial residency still pays most of the SSD
@@ -271,16 +263,6 @@ impl ServerStore {
         }
     }
 
-    /// DRAM bytes of `range` currently resident (no mutation).
-    pub fn dram_resident(&self, file: FileId, range: ByteRange) -> u64 {
-        self.dram.resident_bytes(file, range)
-    }
-
-    /// Whether the SSD holds `file`.
-    pub fn ssd_holds(&self, file: FileId) -> bool {
-        self.ssd.contains(file)
-    }
-
     /// Pre-stages `file` onto the SSD only.
     pub fn prime_ssd(&mut self, file: FileId, file_size: u64) {
         for victim in self.ssd.admit(file, file_size) {
@@ -318,9 +300,16 @@ mod tests {
         ClusterSpec::gen2_cluster(1).server
     }
 
+    fn store(dram_bytes: u64, ssd_bytes: u64) -> ServerStore {
+        ServerStore {
+            dram: PageCache::new(dram_bytes),
+            ssd: SsdStore::new(ssd_bytes),
+        }
+    }
+
     #[test]
     fn cold_file_faults_from_remote_then_is_ssd_then_dram_resident() {
-        let mut s = ServerStore::with_capacities(64 * GB, 256 * GB);
+        let mut s = store(64 * GB, 256 * GB);
         let f = FileId(7);
         let r = ByteRange::new(0, 8 * GB);
         assert_eq!(s.locate(f, r), Tier::Remote);
@@ -341,7 +330,7 @@ mod tests {
     #[test]
     fn dram_eviction_falls_back_to_ssd_tier() {
         // DRAM fits one file, SSD fits both.
-        let mut s = ServerStore::with_capacities(10 * GB, 100 * GB);
+        let mut s = store(10 * GB, 100 * GB);
         let (a, b) = (FileId(1), FileId(2));
         let r = ByteRange::new(0, 8 * GB);
         s.fault_in(a, r, 8 * GB);
@@ -356,17 +345,17 @@ mod tests {
     #[test]
     fn ssd_eviction_is_lru_and_drops_dram_too() {
         // SSD fits two 8 GB files; the third evicts the least recent.
-        let mut s = ServerStore::with_capacities(64 * GB, 16 * GB);
+        let mut s = store(64 * GB, 16 * GB);
         let r = ByteRange::new(0, 8 * GB);
         s.fault_in(FileId(1), r, 8 * GB);
         s.fault_in(FileId(2), r, 8 * GB);
         s.fault_in(FileId(1), r, 8 * GB); // touch 1 → 2 is now LRU
         s.fault_in(FileId(3), r, 8 * GB); // evicts 2
-        assert!(s.ssd_holds(FileId(1)));
-        assert!(!s.ssd_holds(FileId(2)));
-        assert!(s.ssd_holds(FileId(3)));
+        assert!(s.ssd.contains(FileId(1)));
+        assert!(!s.ssd.contains(FileId(2)));
+        assert!(s.ssd.contains(FileId(3)));
         assert_eq!(s.locate(FileId(2), r), Tier::Remote);
-        assert_eq!(s.dram_resident(FileId(2), r), 0, "coherent with SSD");
+        assert_eq!(s.dram.resident_bytes(FileId(2), r), 0, "coherent with SSD");
     }
 
     #[test]
@@ -410,11 +399,11 @@ mod tests {
 
     #[test]
     fn oversized_file_is_never_admitted_to_ssd() {
-        let mut s = ServerStore::with_capacities(64 * GB, 4 * GB);
+        let mut s = store(64 * GB, 4 * GB);
         let r = ByteRange::new(0, 8 * GB);
         let b = s.fault_in(FileId(9), r, 8 * GB);
         // Streams straight through: remote each time, no SSD residency.
         assert_eq!(b.source, Tier::Remote);
-        assert!(!s.ssd_holds(FileId(9)));
+        assert!(!s.ssd.contains(FileId(9)));
     }
 }

@@ -121,12 +121,6 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: degrade link bandwidth to `factor`x for `duration`.
-    pub fn with_link_degrade(mut self, at: SimTime, factor: f64, duration: SimDuration) -> Self {
-        self.push(at, FaultKind::LinkDegrade { factor, duration });
-        self
-    }
-
     /// Builder: make transfers flaky for `duration` starting at `at`.
     pub fn with_transfer_flake(mut self, at: SimTime, duration: SimDuration) -> Self {
         self.push(at, FaultKind::TransferFlake { duration });
@@ -224,11 +218,17 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let plan = FaultPlan::none()
+        let mut plan = FaultPlan::none()
             .with_crash(SimTime::from_secs(5), 1)
             .with_straggler(SimTime::from_secs(1), 0, 3.0, SimDuration::from_secs(10))
-            .with_link_degrade(SimTime::from_secs(2), 0.25, SimDuration::from_secs(4))
             .with_transfer_flake(SimTime::from_secs(3), SimDuration::from_secs(2));
+        plan.push(
+            SimTime::from_secs(2),
+            FaultKind::LinkDegrade {
+                factor: 0.25,
+                duration: SimDuration::from_secs(4),
+            },
+        );
         assert_eq!(plan.events.len(), 4);
         assert!(plan.events.windows(2).all(|w| w[0].at <= w[1].at));
         assert_eq!(plan.max_te(), Some(1));

@@ -90,7 +90,7 @@ impl Samples {
     }
 
     /// Fraction of samples at or below `threshold` — SLO attainment.
-    pub fn fraction_le(&self, threshold: f64) -> Option<f64> {
+    fn fraction_le(&self, threshold: f64) -> Option<f64> {
         if self.values.is_empty() {
             return None;
         }
@@ -234,25 +234,6 @@ impl TimeSeries {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Time-weighted average of a step function defined by the points, over
-    /// the span from the first point to `end`. Returns `None` if empty.
-    pub fn time_weighted_mean(&self, end: SimTime) -> Option<f64> {
-        let first = self.points.first()?.0;
-        if end <= first {
-            return Some(self.points[0].1);
-        }
-        let total = end.since(first).as_nanos() as f64;
-        let mut acc = 0.0;
-        for (i, &(t, v)) in self.points.iter().enumerate() {
-            let next_t = self.points.get(i + 1).map_or(end, |&(nt, _)| nt.max_of(t));
-            let next_t = if next_t > end { end } else { next_t };
-            if next_t > t {
-                acc += v * next_t.since(t).as_nanos() as f64;
-            }
-        }
-        Some(acc / total)
-    }
 }
 
 /// Per-request serving latency metrics, in the units the paper reports.
@@ -296,11 +277,6 @@ impl LatencyStats {
     /// Number of completed requests recorded.
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Total output tokens across all recorded requests.
-    pub fn total_output_tokens(&self) -> u64 {
-        self.total_output_tokens
     }
 
     /// TTFT distribution in milliseconds.
@@ -504,15 +480,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Points of a series metric by name.
-    pub fn series_points(&self, name: &str) -> Option<&[(SimTime, f64)]> {
-        let &i = self.index.get(name)?;
-        match &self.entries[i].1 {
-            Metric::Series(s) => Some(s.points()),
-            _ => None,
-        }
-    }
-
     /// Registered names, in registration order.
     pub fn names(&self) -> impl Iterator<Item = &str> + '_ {
         self.entries.iter().map(|(n, _)| n.as_str())
@@ -698,16 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_mean_of_step_function() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::ZERO, 0.0);
-        ts.record(SimTime::from_secs(1), 10.0);
-        // 1s at 0.0, 1s at 10.0 => mean 5.0 over [0, 2s].
-        let m = ts.time_weighted_mean(SimTime::from_secs(2)).unwrap();
-        assert!((m - 5.0).abs() < 1e-9, "{m}");
-    }
-
-    #[test]
     fn latency_stats_aggregate() {
         let mut ls = LatencyStats::new();
         ls.record(RequestLatency {
@@ -723,7 +680,7 @@ mod tests {
             output_tokens: 100,
         });
         assert_eq!(ls.completed(), 2);
-        assert_eq!(ls.total_output_tokens(), 300);
+        assert_eq!(ls.total_output_tokens, 300);
         assert!((ls.ttft_ms().mean - 200.0).abs() < 1e-9);
         assert_eq!(ls.tpot_sla_attainment(50.0), Some(0.5));
         let thr = ls.decode_throughput(SimDuration::from_secs(10));
@@ -741,6 +698,11 @@ mod tests {
         assert_eq!(c.get("never"), 0);
         let keys: Vec<_> = c.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a", "b"]);
+    }
+
+    /// Points of a series metric, read back through the JSON export.
+    fn series_len(r: &mut MetricsRegistry, name: &str) -> Option<usize> {
+        Some(r.to_json().get(name)?.get("points")?.as_array()?.len())
     }
 
     #[test]
@@ -763,7 +725,7 @@ mod tests {
         let ts = r.series("queue_depth");
         r.record_at(ts, SimTime::ZERO, 1.0);
         r.record_at(ts, SimTime::from_secs(1), 2.0);
-        assert_eq!(r.series_points("queue_depth").unwrap().len(), 2);
+        assert_eq!(series_len(&mut r, "queue_depth"), Some(2));
         assert_eq!(
             r.names().collect::<Vec<_>>(),
             vec!["sim.completed", "ttft_ms", "queue_depth"]
@@ -810,10 +772,7 @@ mod tests {
         let mut rebuilt = MetricsRegistry::from_json(&parsed).unwrap();
         assert_eq!(rebuilt.counter_value("sim.completed"), 41);
         assert_eq!(rebuilt.summary("ttft_ms").unwrap().count, 4);
-        assert_eq!(
-            rebuilt.series_points("kv_blocks").unwrap(),
-            r.series_points("kv_blocks").unwrap()
-        );
+        assert_eq!(series_len(&mut rebuilt, "kv_blocks"), Some(2));
         assert_eq!(rebuilt.to_json().to_json(), text, "export is a fixed point");
     }
 

@@ -154,13 +154,13 @@ impl SimRng {
     }
 
     /// Normal draw with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.gaussian()
     }
 
     /// Lognormal draw parameterized by the mean/std-dev of the *underlying*
     /// normal (the conventional mu/sigma parameterization).
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
+    fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
     }
 
@@ -205,14 +205,6 @@ impl SimRng {
             u -= w;
         }
         n - 1
-    }
-
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
     }
 
     /// Raw 64-bit draw.
@@ -320,15 +312,5 @@ mod tests {
         for &c in &counts {
             assert!((c as f64 - 10_000.0).abs() < 500.0, "{counts:?}");
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed_from_u64(8);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 }

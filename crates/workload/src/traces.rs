@@ -456,7 +456,7 @@ impl Iterator for SharedPrefixStream {
 /// Seed of a conversation's growing shared prefix. All turns of one
 /// conversation share it, so turn k's prompt is a strict prefix of turn
 /// k+1's.
-pub fn conversation_prefix_seed(conversation: u64) -> u64 {
+fn conversation_prefix_seed(conversation: u64) -> u64 {
     0xCAFE_0000_0000 ^ conversation
 }
 
