@@ -29,9 +29,12 @@
 //!
 //! `dead-pub` is the one rule that needs the whole tree: [`RefIndex`]
 //! counts, per identifier, the scanned files that name it, and a `pub fn`
-//! is flagged when no file but its own does. Known limitation: matching
-//! is by name only, so a dead `pub fn new` or `len` is never flagged while
-//! any other `new`/`len` exists anywhere in the workspace.
+//! is flagged when no file but its own does. Only lexed code tokens
+//! count: a reference inside a comment or string (a doctest, or a path in
+//! `serde(with = "...")`) does not, so a function used only there is
+//! flagged and needs a waiver. Known limitation: matching is by name
+//! only, so a dead `pub fn new` or `len` is never flagged while any other
+//! `new`/`len` exists anywhere in the workspace.
 
 use crate::lexer::LexedFile;
 use std::collections::{BTreeMap, BTreeSet};

@@ -293,6 +293,8 @@ mod tests {
             Some(SimTime::from_secs(1))
         );
         assert_eq!(f.advance_to(SimTime::from_secs(1)), vec![id]);
+        assert!(f.transfers.is_empty());
+        assert_eq!(f.next_event(SimTime::from_secs(1)), None);
     }
 
     #[test]
