@@ -262,11 +262,19 @@ fn saturated_decode_engine(n_req: u64) -> (flowserve::Engine, SimTime) {
 /// The hot-path allocation purge's acceptance bench: one single-step
 /// `Engine::advance` on a saturated 64-sequence decode batch (completes an
 /// iteration, re-forms the batch, starts the next). Compare before/after
-/// the scratch-buffer rework of `form_batch`.
+/// the scratch-buffer rework of `form_batch`. The 256-sequence case is
+/// `decode_steady`'s batch size, where the per-sequence request lookups
+/// dominate.
 fn bench_engine_decode_advance(c: &mut Criterion) {
+    for n_req in [64, 256] {
+        bench_decode_single_step(c, n_req);
+    }
+}
+
+fn bench_decode_single_step(c: &mut Criterion, n_req: u64) {
     use flowserve::Pacing;
-    c.bench_function("engine/advance_decode64_single_step", |b| {
-        let (mut engine, mut now) = saturated_decode_engine(64);
+    c.bench_function(&format!("engine/advance_decode{n_req}_single_step"), |b| {
+        let (mut engine, mut now) = saturated_decode_engine(n_req);
         // The cluster's hot path: `advance_paced` with a reused event
         // buffer (the plain `advance` wrapper allocates a Vec per call).
         let mut events = Vec::new();
@@ -279,8 +287,8 @@ fn bench_engine_decode_advance(c: &mut Criterion) {
                     black_box(events.len());
                 }
                 None => {
-                    // Batch drained (setup amortized over ~100k advances).
-                    let fresh = saturated_decode_engine(64);
+                    // Batch drained (setup amortized over many advances).
+                    let fresh = saturated_decode_engine(n_req);
                     engine = fresh.0;
                     now = fresh.1;
                 }

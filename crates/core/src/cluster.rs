@@ -28,19 +28,19 @@ use npu::storage::{fault_time, ServerStore, Tier};
 use simcore::fault::{FaultEvent, FaultKind, FaultPlan};
 use simcore::trace::{SpanId, Trace, TraceLevel, Tracer};
 use simcore::{
-    Clock, Counters, FifoChannel, LatencyStats, MetricsRegistry, SimDuration, SimTime,
-    CLASS_ARRIVAL,
+    Clock, Counters, FifoChannel, IdMap, IdSet, LatencyStats, MetricsRegistry, SimDuration,
+    SimTime, CLASS_ARRIVAL,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Livelock guard: the event loop panics once the cumulative count of
 /// events processed by [`ClusterSim::step_until`] and
 /// [`ClusterSim::run_to_completion`] over the sim's lifetime reaches this.
 const EVENT_BUDGET: u64 = 200_000_000;
 
-// detlint note: the remaining HashMap/HashSet fields below are point-lookup
-// only (insert/remove/get/contains) — never iterated, so hash order cannot
-// leak into reports or traces. Anything iterated is a BTreeMap.
+// detlint note: the `IdMap`/`IdSet` fields below are point-lookup only
+// (insert/remove/get/contains) — never iterated, so hash order cannot leak
+// into reports or traces. Anything iterated is a BTreeMap.
 
 /// Role of one TE in the serving pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -359,9 +359,9 @@ pub struct ClusterSim {
     /// Last streamed arrival stamp (sortedness check).
     stream_last_arrival: SimTime,
     /// Disaggregated routing: request -> decode TE.
-    decode_route: HashMap<RequestId, TeId>,
+    decode_route: IdMap<RequestId, TeId>,
     /// Prompt + metadata stash for requests in the prefill half.
-    pending_migration: HashMap<RequestId, NewRequest>,
+    pending_migration: IdMap<RequestId, NewRequest>,
     /// In-flight KV migrations. A `BTreeMap`: crash handling iterates it
     /// to find doomed transfers, in id order by construction.
     in_flight_migrations: BTreeMap<TransferId, Migration>,
@@ -393,18 +393,18 @@ pub struct ClusterSim {
     /// KV transfers started before this instant fail once.
     flaky_until: Option<SimTime>,
     /// Requests that already consumed their one transient transfer failure.
-    flaked: HashSet<RequestId>,
+    flaked: IdSet<RequestId>,
     /// Stash for flaked migrations awaiting retry: `(from, kv_tokens,
     /// first_token_at)`.
-    migration_retry: HashMap<RequestId, (TeId, usize, SimTime)>,
+    migration_retry: IdMap<RequestId, (TeId, usize, SimTime)>,
     /// Re-dispatch attempts per request.
-    retries: HashMap<RequestId, u32>,
+    retries: IdMap<RequestId, u32>,
     failed: u64,
     repairs_pending: u32,
     /// Request id -> `arrivals` slot, for re-dispatch and prompt lookup.
     /// Presence here *is* liveness: a terminal state removes the entry
     /// (and frees the slot), so "not indexed" means "finished or failed".
-    arrival_index: HashMap<RequestId, u32>,
+    arrival_index: IdMap<RequestId, u32>,
     /// Traces salvaged from engines replaced by repairs.
     salvaged_traces: Vec<(String, Trace)>,
     /// Counters salvaged from engines replaced by repairs.
@@ -520,8 +520,8 @@ impl ClusterSim {
             injected_total: 0,
             stream: None,
             stream_last_arrival: SimTime::ZERO,
-            decode_route: HashMap::new(),
-            pending_migration: HashMap::new(),
+            decode_route: IdMap::default(),
+            pending_migration: IdMap::default(),
             in_flight_migrations: BTreeMap::new(),
             latency: LatencyStats::new(),
             counters: Counters::new(),
@@ -540,12 +540,12 @@ impl ClusterSim {
             health: None,
             link_degrade: None,
             flaky_until: None,
-            flaked: HashSet::new(),
-            migration_retry: HashMap::new(),
-            retries: HashMap::new(),
+            flaked: IdSet::default(),
+            migration_retry: IdMap::default(),
+            retries: IdMap::default(),
             failed: 0,
             repairs_pending: 0,
-            arrival_index: HashMap::new(),
+            arrival_index: IdMap::default(),
             salvaged_traces: Vec::new(),
             salvaged_counters: Counters::new(),
             trace_cfg: None,

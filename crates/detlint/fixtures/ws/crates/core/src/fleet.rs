@@ -1,7 +1,7 @@
-use std::collections::HashMap;
+use simcore::IdMap;
 
 pub struct FleetRegistry {
-    pub hosts: HashMap<u32, Vec<u32>>,
+    pub hosts: IdMap<u32, Vec<u32>>,
 }
 
 impl FleetRegistry {

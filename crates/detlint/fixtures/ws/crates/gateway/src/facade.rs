@@ -1,10 +1,10 @@
-use std::collections::HashMap;
+use simcore::IdMap;
 
 pub fn bad_unwrap(v: Option<u32>) -> u32 {
     v.unwrap()
 }
 
-pub fn bad_iter(sessions: HashMap<String, u64>) -> u64 {
+pub fn bad_iter(sessions: IdMap<u64, u64>) -> u64 {
     let mut sum = 0;
     for (_, v) in &sessions {
         sum += v;

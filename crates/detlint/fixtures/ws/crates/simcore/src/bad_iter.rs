@@ -1,7 +1,7 @@
-use std::collections::HashMap;
+use simcore::IdMap;
 
 pub struct Registry {
-    pub loads: HashMap<u32, u64>,
+    pub loads: IdMap<u32, u64>,
 }
 
 impl Registry {

@@ -7,8 +7,9 @@
 //! clock, no stray threads, no foreign RNG, no panicking library paths,
 //! justified `unsafe`, raw `std::sync` primitives contained to the
 //! model-checked shim surface, and no nested locking without a written
-//! lock order), plus one hygiene rule: no report-crate `pub fn` that
-//! nothing else in the workspace names. This crate enforces them
+//! lock order), plus two hygiene rules: no report-crate `pub fn` that
+//! nothing else in the workspace names, and no std SipHash map where
+//! `simcore::IdMap` fits. This crate enforces them
 //! statically: a hand-rolled lexer strips comments/literals, a line-level
 //! rule engine flags violations, and an inline waiver syntax records the
 //! justification for every deliberate exception.

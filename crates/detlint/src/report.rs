@@ -6,8 +6,8 @@ use crate::rules::{FileReport, Violation, Waiver, RULES};
 /// Schema version of the JSON report. Bump on any breaking shape change;
 /// the fixture suite pins the current shape. v2: added the `raw-sync` and
 /// `lock-order` rules and a `bad-waiver` entry in `per_rule`. v3: added the
-/// `dead-pub` rule.
-pub const SCHEMA_VERSION: u64 = 3;
+/// `dead-pub` rule. v4: added the `std-hasher` rule.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Per-rule tallies in the JSON report.
 #[derive(Debug, serde::Serialize)]

@@ -1,8 +1,9 @@
 //! The determinism & robustness rules and the per-file checking pass.
 //!
-//! Each rule but `dead-pub` protects one invariant behind the simulator's
-//! bit-identical replay guarantee (see DESIGN.md §"Determinism lint");
-//! `dead-pub` keeps code that nothing drives from piling up:
+//! Each rule but `dead-pub` and `std-hasher` protects one invariant behind
+//! the simulator's bit-identical replay guarantee (see DESIGN.md
+//! §"Determinism lint"); `dead-pub` keeps code that nothing drives from
+//! piling up, and `std-hasher` keeps SipHash off point-lookup paths:
 //!
 //! | id              | invariant                                                      |
 //! |-----------------|----------------------------------------------------------------|
@@ -15,6 +16,7 @@
 //! | `raw-sync`      | no raw `std::sync` primitives in the single-threaded simulator |
 //! | `lock-order`    | no nested lock acquisition without a written lock order        |
 //! | `dead-pub`      | every report-crate `pub fn` is named outside its own file      |
+//! | `std-hasher`    | report-crate maps hash with `simcore::IdMap`'s fixed hasher    |
 //!
 //! A site can be waived with an inline comment carrying a written
 //! justification:
@@ -35,12 +37,19 @@
 //! flagged and needs a waiver. Known limitation: matching is by name
 //! only, so a dead `pub fn new` or `len` is never flagged while any other
 //! `new`/`len` exists anywhere in the workspace.
+//!
+//! `std-hasher` flags any report-crate line naming `HashMap` or `HashSet`
+//! outside [`ID_MAP_MODULE`]: program-minted keys go in `simcore::IdMap`
+//! / `IdSet`, whose seedless hasher is several times cheaper than std's
+//! SipHash. A waiver names the reason std's seeded hasher is needed, such
+//! as keys a client chooses. `unordered-iter` treats the aliases as hash
+//! types, so the conversion does not hide an iteration.
 
 use crate::lexer::LexedFile;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The nine enforced rules, in report order.
-pub const RULES: [&str; 9] = [
+/// The ten enforced rules, in report order.
+pub const RULES: [&str; 10] = [
     "unordered-iter",
     "wall-clock",
     "thread",
@@ -50,6 +59,7 @@ pub const RULES: [&str; 9] = [
     "raw-sync",
     "lock-order",
     "dead-pub",
+    "std-hasher",
 ];
 
 /// Crates whose non-test code feeds reports/traces: hash-order iteration
@@ -66,6 +76,13 @@ pub const REPORT_CRATES: [&str; 7] = [
     "workload",
     "gateway",
 ];
+
+/// The one module that may name std's `HashMap`/`HashSet`: it defines the
+/// `IdMap`/`IdSet` aliases (rule `std-hasher`).
+pub const ID_MAP_MODULE: &str = "crates/simcore/src/idmap.rs";
+
+/// Hash-map/set type names: std's and simcore's fixed-hasher aliases.
+const HASH_TYPES: [&str; 4] = ["HashMap", "HashSet", "IdMap", "IdSet"];
 
 /// The modules allowed to spawn threads: the cluster coordinator.
 pub const THREAD_ALLOWED: [&str; 1] = ["crates/core/src/cluster.rs"];
@@ -130,6 +147,9 @@ pub struct Scope {
     pub d8: bool,
     /// `dead-pub` (report/trace-feeding crate src trees only).
     pub d9: bool,
+    /// `std-hasher` (report/trace-feeding crate src trees, minus
+    /// [`ID_MAP_MODULE`]).
+    pub d10: bool,
     /// Whole file is test code (`tests/`, `benches/` directories).
     pub test_file: bool,
 }
@@ -153,6 +173,7 @@ impl Scope {
             d7: !test_file,
             d8: !test_file,
             d9: in_report_crate && !test_file,
+            d10: in_report_crate && !test_file && rel != ID_MAP_MODULE,
             test_file,
         }
     }
@@ -360,10 +381,8 @@ pub fn collect_hash_idents(file: &LexedFile, mask: &[bool]) -> HashIdents {
             continue;
         }
         let chars: Vec<char> = line.chars().collect();
-        let hash_positions: Vec<usize> = ["HashMap", "HashSet"]
-            .iter()
-            .flat_map(|t| find_word(line, t))
-            .collect();
+        let hash_positions: Vec<usize> =
+            HASH_TYPES.iter().flat_map(|t| find_word(line, t)).collect();
         // `let [mut] name` bindings: classify by whether the line mentions a
         // hash type at all (initializer `HashMap::new()`, annotation, or
         // turbofished collect).
@@ -684,6 +703,23 @@ pub fn check_file(rel: &str, file: &LexedFile, scope: Scope, refs: &RefIndex) ->
                         ),
                     ));
                 }
+            }
+        }
+
+        // D10 — std-hasher.
+        if scope.d10 && !in_test {
+            if let Some(t) = ["HashMap", "HashSet"]
+                .into_iter()
+                .find(|t| !find_word(line, t).is_empty())
+            {
+                candidates.push((
+                    idx,
+                    "std-hasher",
+                    format!(
+                        "`{t}`: key program-minted ids with simcore::IdMap/IdSet — \
+                         waive with the reason std's seeded hasher is needed"
+                    ),
+                ));
             }
         }
 

@@ -1,9 +1,10 @@
 //! Fixture-corpus tests: one deliberate violation and one valid waiver per
-//! rule, scope exemptions (bench, cluster coordinator, test code), lexer
-//! tricky cases, and the JSON report shape. `simcore/tests/callers.rs`
-//! calls every fixture `pub fn` but the `dead-pub` subjects, so each
-//! file's expectations stay those of the rule it is about. The corpus lives in
-//! `fixtures/ws/` and is excluded from real scans by `scan::SKIP_PREFIXES`.
+//! rule, scope exemptions (bench, cluster coordinator, id-map module, test
+//! code), lexer tricky cases, and the JSON report shape.
+//! `simcore/tests/callers.rs` calls every fixture `pub fn` but the
+//! `dead-pub` subjects, so each file's expectations stay those of the rule
+//! it is about. The corpus lives in `fixtures/ws/` and is excluded from
+//! real scans by `scan::SKIP_PREFIXES`.
 
 use detlint::scan;
 use std::path::Path;
@@ -42,6 +43,7 @@ fn fixture_violations_exact() {
         ("crates/simcore/src/panics.rs", 12, "panic"),
         ("crates/simcore/src/randomness.rs", 2, "rng"),
         ("crates/simcore/src/raw_sync.rs", 2, "raw-sync"),
+        ("crates/simcore/src/std_hasher.rs", 5, "std-hasher"),
         ("crates/simcore/src/sync.rs", 11, "lock-order"),
         ("crates/simcore/src/threading.rs", 2, "thread"),
         ("crates/simcore/src/unsafe_block.rs", 2, "unsafe"),
@@ -51,7 +53,7 @@ fn fixture_violations_exact() {
     .map(|(f, l, r)| (f.to_string(), *l, r.to_string()))
     .collect();
     assert_eq!(got, expected, "violation set must match the corpus exactly");
-    assert_eq!(report.files_scanned, 18);
+    assert_eq!(report.files_scanned, 20);
     assert!(!report.is_clean());
 }
 
@@ -95,6 +97,9 @@ fn fixture_diagnostics_render_exact() {
         "crates/simcore/src/dead_pub.rs:4: [dead-pub] `pub fn never_called` is named in \
          no other file — delete it, or drop `pub` if this file still calls it\n    \
          pub fn never_called() -> u32 {\n",
+        "crates/simcore/src/std_hasher.rs:5: [std-hasher] `HashMap`: key program-minted \
+         ids with simcore::IdMap/IdSet — waive with the reason std's seeded hasher is \
+         needed\n    pub by_ticket: std::collections::HashMap<u64, u32>,\n",
         "crates/simcore/src/bad_waiver.rs:3: [bad-waiver] malformed waiver: expected \
          `detlint: allow(<rule>) — <justification>`\n",
         "crates/simcore/src/bad_waiver.rs:2: [bad-waiver] waiver names unknown rule \
@@ -118,7 +123,7 @@ fn fixture_diagnostics_render_exact() {
 
     // Summary footer.
     assert!(
-        text.contains("detlint: 18 file(s) scanned, 17 violation(s), 14 waiver(s)"),
+        text.contains("detlint: 20 file(s) scanned, 18 violation(s), 15 waiver(s)"),
         "summary mismatch:\n{text}"
     );
 }
@@ -126,7 +131,7 @@ fn fixture_diagnostics_render_exact() {
 #[test]
 fn fixture_waiver_audit() {
     let report = scan(&fixture_root()).expect("fixture scan");
-    assert_eq!(report.waivers.len(), 14);
+    assert_eq!(report.waivers.len(), 15);
 
     let by_loc: Vec<(&str, usize, &str, bool, bool)> = report
         .waivers
@@ -176,6 +181,13 @@ fn fixture_waiver_audit() {
         ("crates/simcore/src/panics.rs", 11, "panic", true, true),
         ("crates/simcore/src/randomness.rs", 7, "rng", true, false),
         ("crates/simcore/src/raw_sync.rs", 6, "raw-sync", true, false),
+        (
+            "crates/simcore/src/std_hasher.rs",
+            6,
+            "std-hasher",
+            true,
+            false,
+        ),
         ("crates/simcore/src/sync.rs", 1, "raw-sync", true, false),
         ("crates/simcore/src/sync.rs", 17, "lock-order", true, false),
         ("crates/simcore/src/threading.rs", 6, "thread", true, false),
@@ -187,7 +199,11 @@ fn fixture_waiver_audit() {
     );
 
     let audit = report.render_waivers();
-    assert!(audit.starts_with("14 waiver(s) declared:\n"));
+    assert!(audit.starts_with("15 waiver(s) declared:\n"));
+    assert!(audit.contains(
+        "crates/simcore/src/std_hasher.rs:6: allow(std-hasher) — \
+         fixture: keys are client-chosen strings"
+    ));
     assert!(audit.contains(
         "crates/simcore/src/dead_pub.rs:8: allow(dead-pub) — \
          fixture: the embedding API of an out-of-tree plugin"
@@ -222,12 +238,14 @@ fn fixture_waiver_audit() {
 fn fixture_scope_exemptions_hold() {
     let report = scan(&fixture_root()).expect("fixture scan");
     // Wall-clock reads in crates/bench, threads in the cluster coordinator,
-    // and anything (but unjustified `unsafe`) in tests/ are all exempt.
+    // std's hash types in simcore's id-map module, and anything (but
+    // unjustified `unsafe`) in tests/ are all exempt.
     for exempt in [
         "crates/bench/src/timing.rs",
         "crates/core/src/cluster.rs",
         "crates/simcore/src/cfg_test.rs",
         "crates/simcore/src/tricky.rs",
+        "crates/simcore/src/idmap.rs",
     ] {
         assert!(
             report.violations.iter().all(|v| v.file != exempt),
@@ -274,11 +292,11 @@ fn json_report_round_trips() {
 
     assert_eq!(
         value.get("schema_version").and_then(|v| v.as_u64()),
-        Some(3)
+        Some(4)
     );
     assert_eq!(
         value.get("files_scanned").and_then(|v| v.as_u64()),
-        Some(18)
+        Some(20)
     );
 
     let violations = value
@@ -303,7 +321,7 @@ fn json_report_round_trips() {
         .get("waivers")
         .and_then(|v| v.as_array())
         .expect("waivers array");
-    assert_eq!(waivers.len(), 14);
+    assert_eq!(waivers.len(), 15);
     assert_eq!(waivers[0].get("used").and_then(|v| v.as_bool()), Some(true));
 
     // Every diagnostic record carries its rule name.
@@ -320,7 +338,7 @@ fn json_report_round_trips() {
         );
     }
 
-    // Per-rule tallies: all nine rules in declaration order, then the
+    // Per-rule tallies: all ten rules in declaration order, then the
     // bad-waiver tally.
     let per_rule = value
         .get("per_rule")

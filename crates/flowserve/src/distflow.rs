@@ -19,8 +19,7 @@ use npu::fabric::LinkKind;
 use npu::specs::NpuId;
 use serde::Serialize;
 use simcore::trace::{Trace, TraceLevel, Tracer};
-use simcore::{Counters, SimTime};
-use std::collections::HashSet;
+use simcore::{Counters, IdSet, SimTime};
 
 /// A memory tier a buffer can live in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -110,7 +109,7 @@ pub struct DistFlow {
     /// Whether endpoints share a global-shared-memory domain (SuperPod).
     superpod_shared_memory: bool,
     /// Established peer links (unordered pairs), from `LinkCluster`.
-    links: HashSet<(NpuId, NpuId)>,
+    links: IdSet<(NpuId, NpuId)>,
     counters: Counters,
     tracer: Tracer,
 }
@@ -129,7 +128,7 @@ impl DistFlow {
     pub fn new(superpod_shared_memory: bool) -> Self {
         DistFlow {
             superpod_shared_memory,
-            links: HashSet::new(),
+            links: IdSet::default(),
             counters: Counters::new(),
             tracer: Tracer::disabled(),
         }

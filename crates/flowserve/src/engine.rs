@@ -30,8 +30,8 @@ use crate::request::{EngineRequest, NewRequest, Phase, RequestArena, RequestId};
 use crate::rtc::{PopulateTicket, Rtc, RtcConfig};
 use llm_model::{BatchWork, ExecCostModel};
 use simcore::trace::{SpanId, Trace, TraceLevel, Tracer};
-use simcore::{Counters, RequestLatency, SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use simcore::{Counters, IdMap, RequestLatency, SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// What the engine reports back to its driver.
 #[derive(Debug, Clone)]
@@ -172,13 +172,13 @@ pub struct Engine {
     /// Migrated-in requests waiting for KV block space (decode-only mode).
     waiting_kv: VecDeque<(RequestId, usize)>,
     /// Populate ticket -> request.
-    populating: HashMap<PopulateTicket, RequestId>,
+    populating: IdMap<PopulateTicket, RequestId>,
     current: Option<Iteration>,
     stats: EngineStats,
     counters: Counters,
     tracer: Tracer,
     /// Open per-request lifecycle spans (only populated while tracing).
-    req_spans: HashMap<RequestId, SpanId>,
+    req_spans: IdMap<RequestId, SpanId>,
     /// Iteration wall-time multiplier (1.0 = healthy; > 1.0 = straggler).
     slowdown: f64,
     /// Emit [`EngineEvent::Tokens`] progress events (live streaming).
@@ -221,12 +221,12 @@ impl Engine {
             running_prefill: Vec::new(),
             running_decode: Vec::new(),
             waiting_kv: VecDeque::new(),
-            populating: HashMap::new(),
+            populating: IdMap::default(),
             current: None,
             stats: EngineStats::default(),
             counters: Counters::new(),
             tracer: Tracer::disabled(),
-            req_spans: HashMap::new(),
+            req_spans: IdMap::default(),
             slowdown: 1.0,
             token_events: false,
             scratch_ids: Vec::new(),
@@ -950,18 +950,28 @@ impl Engine {
                 if decode_ids.len() >= self.cfg.max_batch {
                     break;
                 }
-                // A reservation earlier in this loop may have preempted this
-                // sequence out of the decode set.
-                if self.requests.get(id).map(|r| r.phase) != Some(Phase::Decoding) {
+                // One arena access per sequence in the common case: the
+                // phase check (a block append earlier in this loop may have
+                // preempted this sequence out of the decode set), a token
+                // slot from the last block's slack, and the context read.
+                let Some(req) = self.requests.get_mut(id) else {
+                    continue;
+                };
+                if req.phase != Phase::Decoding {
                     continue;
                 }
-                if self.reserve_decode_slot(now, id) {
-                    if let Some(req) = self.requests.get(id) {
-                        work.decode_seqs += 1;
-                        work.decode_context_total += req.table.tokens() as u64;
-                        decode_ids.push(id);
-                    }
-                }
+                let context = if req.table.slack() >= 1 {
+                    req.table.extend(vec![], 1);
+                    Some(req.table.tokens())
+                } else {
+                    self.append_decode_block(now, id)
+                };
+                let Some(context) = context else {
+                    continue;
+                };
+                work.decode_seqs += 1;
+                work.decode_context_total += context as u64;
+                decode_ids.push(id);
             }
             self.scratch_ids = ids;
         }
@@ -1027,33 +1037,25 @@ impl Engine {
         (work, decode_ids, prefill_parts)
     }
 
-    /// Ensures the decode sequence has a KV slot for this iteration's
-    /// token, preempting younger sequences under pressure (recompute-style
-    /// preemption: the victim restarts its prefill later).
-    fn reserve_decode_slot(&mut self, now: SimTime, id: RequestId) -> bool {
+    /// Gives a decode sequence whose last block is full a fresh block for
+    /// this iteration's token, preempting younger sequences under pressure
+    /// (recompute-style preemption: the victim restarts its prefill
+    /// later). Returns the sequence's new context length, or `None` when
+    /// nothing is left to preempt.
+    fn append_decode_block(&mut self, now: SimTime, id: RequestId) -> Option<usize> {
         loop {
-            match self.req_mut(id) {
-                Some(req) if req.table.slack() >= 1 => {
-                    req.table.extend(vec![], 1);
-                    return true;
-                }
-                Some(_) => {}
-                None => return false,
-            }
             match self.rtc.append_block() {
-                Ok(b) => match self.req_mut(id) {
-                    Some(req) => {
-                        req.table.extend(vec![b], 1);
-                        return true;
-                    }
-                    None => {
+                Ok(b) => {
+                    let Some(req) = self.req_mut(id) else {
                         self.rtc.free(&[b]);
-                        return false;
-                    }
-                },
+                        return None;
+                    };
+                    req.table.extend(vec![b], 1);
+                    return Some(req.table.tokens());
+                }
                 Err(_) => {
                     if !self.preempt_youngest_except(now, id) {
-                        return false; // nothing left to preempt
+                        return None;
                     }
                 }
             }

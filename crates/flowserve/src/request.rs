@@ -3,8 +3,7 @@
 use crate::block::BlockTable;
 use crate::rtc::{AcquiredPrefix, CacheId, PopulateTicket};
 use crate::tokenizer::Prompt;
-use simcore::{SimDuration, SimTime};
-use std::collections::HashMap;
+use simcore::{IdMap, SimDuration, SimTime};
 
 /// Globally unique request identifier (assigned by the platform frontend).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
@@ -129,19 +128,19 @@ impl EngineRequest {
 /// Slot-addressed arena for engine request state.
 ///
 /// The engine resolves `RequestId -> state` many times per iteration; a
-/// plain `HashMap<RequestId, EngineRequest>` additionally rehashes the
+/// plain hash map of `RequestId -> EngineRequest` additionally rehashes the
 /// whole table as load grows and offers only hasher-ordered iteration,
 /// which the determinism lint must waive around. The arena keeps requests
 /// in a slab of reusable slots (freed slots recycled LIFO — a pure function
 /// of the submit/finish history, so replays are bit-identical) with a
-/// compact id -> slot index. Iteration is in slot order: deterministic by
+/// compact id -> slot `IdMap`. Iteration is in slot order: deterministic by
 /// construction, no waiver needed. Memory stays O(peak in-flight), not
 /// O(total submitted).
 #[derive(Debug, Default)]
 pub struct RequestArena {
     slots: Vec<Option<EngineRequest>>,
     free: Vec<u32>,
-    index: HashMap<RequestId, u32>,
+    index: IdMap<RequestId, u32>,
 }
 
 impl RequestArena {

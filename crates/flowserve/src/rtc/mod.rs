@@ -27,8 +27,7 @@ use crate::block::{BlockId, BlockPool, OutOfBlocks};
 use crate::tokenizer::TokenId;
 pub use radix::{Location, NodeId, PrefixMatch, RadixTree};
 use simcore::trace::{Trace, TraceLevel, Tracer};
-use simcore::{Counters, SimTime};
-use std::collections::HashMap;
+use simcore::{Counters, IdMap, IdSet, SimTime};
 
 /// Explicit context-cache handle (DeepServe's context caching endpoint).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -109,9 +108,9 @@ pub struct Rtc {
     tree: RadixTree,
     npu_pool: BlockPool,
     dram_pool: BlockPool,
-    id_index: HashMap<CacheId, IdEntry>,
-    populates: HashMap<PopulateTicket, InFlightPopulate>,
-    retired_populates: HashMap<PopulateTicket, ()>,
+    id_index: IdMap<CacheId, IdEntry>,
+    populates: IdMap<PopulateTicket, InFlightPopulate>,
+    retired_populates: IdSet<PopulateTicket>,
     next_ticket: u64,
     counters: Counters,
     tracer: Tracer,
@@ -128,9 +127,9 @@ impl Rtc {
             npu_pool: BlockPool::new(cfg.npu_blocks),
             dram_pool: BlockPool::new(cfg.dram_blocks),
             cfg,
-            id_index: HashMap::new(),
-            populates: HashMap::new(),
-            retired_populates: HashMap::new(),
+            id_index: IdMap::default(),
+            populates: IdMap::default(),
+            retired_populates: IdSet::default(),
             next_ticket: 0,
             counters: Counters::new(),
             tracer: Tracer::disabled(),
@@ -304,7 +303,7 @@ impl Rtc {
     pub fn query_populate(&self, ticket: PopulateTicket) -> PopulateStatus {
         if self.populates.contains_key(&ticket) {
             PopulateStatus::InFlight
-        } else if self.retired_populates.contains_key(&ticket) {
+        } else if self.retired_populates.contains(&ticket) {
             PopulateStatus::Done
         } else {
             PopulateStatus::Unknown
@@ -337,7 +336,7 @@ impl Rtc {
                 ],
             );
         }
-        self.retired_populates.insert(ticket, ());
+        self.retired_populates.insert(ticket);
     }
 
     // ---- Block allocation (per-request private blocks) ----
@@ -522,7 +521,7 @@ impl Rtc {
         let (chain, redundant) = self.tree.insert(now, tokens, &blocks[..full]);
         // One tree reference per *newly inserted* block: every supplied
         // block that is not in `redundant` got a node.
-        let redundant_set: std::collections::HashSet<BlockId> = redundant.into_iter().collect();
+        let redundant_set: IdSet<BlockId> = redundant.into_iter().collect();
         for b in &blocks[..full] {
             if !redundant_set.contains(b) {
                 self.npu_pool.incref(*b);

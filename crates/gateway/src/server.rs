@@ -23,7 +23,7 @@ use deepserve::{
 };
 use flowserve::{CacheId, Tokenizer};
 use serde::{Number, Value};
-use std::collections::HashMap;
+use simcore::IdMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
@@ -146,7 +146,7 @@ pub struct Server {
     tokenizer: Tokenizer,
     conns: Vec<Option<Conn>>,
     /// Request id -> connection slot. Point-lookup only (never iterated).
-    waiters: HashMap<u64, usize>,
+    waiters: IdMap<u64, usize>,
     next_req_id: u64,
     served: u64,
     shutdown: bool,
@@ -177,7 +177,7 @@ impl Server {
             sessions,
             tokenizer: Tokenizer::default(),
             conns: Vec::new(),
-            waiters: HashMap::new(),
+            waiters: IdMap::default(),
             next_req_id: 1,
             served: 0,
             shutdown: false,

@@ -19,8 +19,6 @@
 //! prefix is gone, and resurrecting the old id would alias another
 //! session's KV.
 
-use std::collections::HashMap;
-
 /// Default cap on live sessions ([`SessionTable::new`]).
 pub const DEFAULT_SESSION_CAPACITY: usize = 1024;
 
@@ -30,7 +28,8 @@ pub const DEFAULT_SESSION_CAPACITY: usize = 1024;
 /// order comes from the `recency` vector.
 #[derive(Debug)]
 pub struct SessionTable {
-    ids: HashMap<String, u64>,
+    // detlint: allow(std-hasher) — keys are client-chosen strings: std's seeded SipHash resists hash flooding, a seedless id hasher would not
+    ids: std::collections::HashMap<String, u64>,
     /// Keys from coldest (front) to hottest (back).
     recency: Vec<String>,
     capacity: usize,
@@ -53,7 +52,7 @@ impl SessionTable {
     /// An empty table evicting beyond `capacity` sessions (min 1).
     pub fn with_capacity(capacity: usize) -> Self {
         SessionTable {
-            ids: HashMap::new(),
+            ids: Default::default(),
             recency: Vec::new(),
             capacity: capacity.max(1),
             next: 1,

@@ -15,10 +15,10 @@
 //! RTC tier swaps, and weight pulls.
 
 use crate::specs::{ClusterSpec, NpuId};
-use simcore::{FlowId, SharedLink, SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use simcore::{FlowId, IdMap, SharedLink, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
-// detlint note: `flow_owner` stays a HashMap — it is only ever used for
+// detlint note: `flow_owner` stays an `IdMap` — it is only ever used for
 // point lookups (insert/remove by key), never iterated, so hash order
 // cannot leak anywhere.
 
@@ -56,7 +56,7 @@ pub struct Fabric {
     /// In-flight transfers, iterated on the completion path — a `BTreeMap`
     /// so completion order is id order by construction.
     transfers: BTreeMap<TransferId, TransferState>,
-    flow_owner: HashMap<(PortKey, FlowId), TransferId>,
+    flow_owner: IdMap<(PortKey, FlowId), TransferId>,
     next_id: u64,
 }
 
@@ -67,7 +67,7 @@ impl Fabric {
             spec,
             ports: BTreeMap::new(),
             transfers: BTreeMap::new(),
-            flow_owner: HashMap::new(),
+            flow_owner: IdMap::default(),
             next_id: 0,
         }
     }

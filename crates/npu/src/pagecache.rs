@@ -11,8 +11,8 @@
 //! yields a mixed hit/miss read — exactly the behaviour that makes
 //! safetensors + on-demand partition reads attractive in the paper.
 
+use simcore::IdMap;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 /// Identifies a weight file (one model checkpoint).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -119,7 +119,7 @@ pub struct ReadBreakdown {
 pub struct PageCache {
     capacity: u64,
     used: u64,
-    files: HashMap<FileId, Residency>,
+    files: IdMap<FileId, Residency>,
     /// LRU order: front = least recently used.
     lru: Vec<FileId>,
 }
@@ -130,7 +130,7 @@ impl PageCache {
         PageCache {
             capacity,
             used: 0,
-            files: HashMap::new(),
+            files: IdMap::default(),
             lru: Vec::new(),
         }
     }

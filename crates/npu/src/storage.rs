@@ -24,8 +24,7 @@
 use crate::pagecache::{ByteRange, FileId, PageCache};
 use crate::specs::ServerSpec;
 use serde::{Number, Serialize, Value};
-use simcore::SimDuration;
-use std::collections::HashMap;
+use simcore::{IdMap, SimDuration};
 
 /// A storage tier in the checkpoint hierarchy, fastest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -96,7 +95,7 @@ impl Default for RemoteStoreSpec {
 struct SsdStore {
     capacity: u64,
     used: u64,
-    bytes: HashMap<FileId, u64>,
+    bytes: IdMap<FileId, u64>,
     /// Least-recently-used first.
     lru: Vec<FileId>,
 }
@@ -106,7 +105,7 @@ impl SsdStore {
         SsdStore {
             capacity,
             used: 0,
-            bytes: HashMap::new(),
+            bytes: IdMap::default(),
             lru: Vec::new(),
         }
     }

@@ -17,6 +17,8 @@
 //!   RoCE and SSD models.
 //! * [`trace`] — sim-time spans and events ([`Tracer`], [`Trace`]):
 //!   ring-buffered, mergeable across components, zero-cost when disabled.
+//! * [`idmap`] — [`IdMap`]/[`IdSet`]: std hash maps over a fixed,
+//!   seedless hasher, for point lookups keyed by program-minted ids.
 //! * [`fault`] — seeded, replayable fault schedules ([`FaultPlan`]): TE
 //!   crashes, stragglers, link degradation and transfer flakes, injected
 //!   as ordinary events so faulted runs stay bit-for-bit deterministic.
@@ -30,6 +32,7 @@
 
 pub mod event;
 pub mod fault;
+pub mod idmap;
 pub mod metrics;
 pub mod resource;
 pub mod rng;
@@ -38,6 +41,7 @@ pub mod trace;
 
 pub use event::{Clock, EventQueue, CLASS_ARRIVAL, CLASS_DEFAULT};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
+pub use idmap::{IdMap, IdSet};
 pub use metrics::{
     Counters, LatencyStats, MetricId, MetricsRegistry, RequestLatency, Samples, Summary, TimeSeries,
 };

@@ -607,8 +607,7 @@ mod tests {
         let reqs = w.generate(&mut rng(), 2_000);
         // Group by conversation prefix seed; lengths must increase with
         // turn order.
-        let mut by_conv: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
+        let mut by_conv: simcore::IdMap<u64, Vec<usize>> = simcore::IdMap::default();
         for r in &reqs {
             let (seed, len) = r.shared_prefix.unwrap();
             by_conv.entry(seed).or_default().push(len);

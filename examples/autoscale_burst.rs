@@ -3,6 +3,11 @@
 //! full optimization stack (pre-warmed pods/TEs, DRAM pre-loading,
 //! NPU-fork) versus a cold pipeline.
 //!
+//! Each added TE needs one warm pod and one packed pre-warmed TE. A
+//! scale-up counts as pre-warmed only when both pools cover all of it;
+//! the pools start with 8 of each and do not refill within the window,
+//! so later scale-ups pay the cold pod and TE start-up.
+//!
 //! Run with: `cargo run --release --example autoscale_burst`
 
 use deepserve_repro::deepserve::{
@@ -125,8 +130,17 @@ fn simulate(
         if let Some(ScaleAction::Up(n)) = scaler.decide(now, signal) {
             // Resolve the pipeline latency for this scale-up.
             let mut opts = scenario.opts;
-            opts.prewarmed_pods &= pods.acquire();
-            opts.prewarmed_tes &= tes.acquire(par.world_size() as usize);
+            let ws = par.world_size() as usize;
+            let (masters, executors) = tes.available();
+            let warm = pods.available() >= n && masters >= n && executors >= n * ws;
+            if warm {
+                for _ in 0..n {
+                    let took = pods.acquire() && tes.acquire(ws);
+                    debug_assert!(took, "pool coverage was checked above");
+                }
+            }
+            opts.prewarmed_pods &= warm;
+            opts.prewarmed_tes &= warm;
             let path = scaling.choose_path(opts, active, &cache, ckpt, par, true, n);
             let total = scaling
                 .breakdown(ckpt, par, opts, path, SourceLoad { intensity: 0.7 })
