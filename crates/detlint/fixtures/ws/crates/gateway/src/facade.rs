@@ -1,10 +1,12 @@
-use simcore::IdMap;
+// detlint: allow(std-hasher) — fixture: session keys are client-chosen strings
+use std::collections::HashMap;
 
 pub fn bad_unwrap(v: Option<u32>) -> u32 {
     v.unwrap()
 }
 
-pub fn bad_iter(sessions: IdMap<u64, u64>) -> u64 {
+// detlint: allow(std-hasher) — fixture: session keys are client-chosen strings
+pub fn bad_iter(sessions: HashMap<String, u64>) -> u64 {
     let mut sum = 0;
     for (_, v) in &sessions {
         sum += v;

@@ -6,3 +6,9 @@ pub struct Tables {
     // detlint: allow(std-hasher) — fixture: keys are client-chosen strings
     pub by_name: std::collections::HashMap<String, u64>,
 }
+
+impl Tables {
+    pub fn bad_name_order(&self) -> Vec<u64> {
+        self.by_name.values().copied().collect()
+    }
+}

@@ -22,6 +22,8 @@ fn fixture_api_has_callers() {
     waived_expect(None);
     missing_justification(None);
     bad_hasher();
+    let tables = Tables::default();
+    tables.bad_name_order();
     waived_seed();
     shared_counter();
     arc_is_fine(Default::default());

@@ -43,7 +43,9 @@
 //! / `IdSet`, whose seedless hasher is several times cheaper than std's
 //! SipHash. A waiver names the reason std's seeded hasher is needed, such
 //! as keys a client chooses. `unordered-iter` treats the aliases as hash
-//! types, so the conversion does not hide an iteration.
+//! types, so the conversion does not hide an iteration, and reads
+//! path-qualified annotations (`ids: std::collections::HashMap<..>`), so
+//! the waived std maps stay checked too.
 
 use crate::lexer::LexedFile;
 use std::collections::{BTreeMap, BTreeSet};
@@ -415,11 +417,18 @@ pub fn collect_hash_idents(file: &LexedFile, mask: &[bool]) -> HashIdents {
         // (struct fields, fn params, let annotations).
         for &hp in &hash_positions {
             let mut k = hp;
-            // Skip type-prefix tokens backwards: whitespace, `&`, `mut`,
-            // lifetimes.
+            // Skip type-prefix tokens backwards: path segments
+            // (`std::collections::`), whitespace, `&`, `mut`, lifetimes.
             loop {
                 while k > 0 && chars[k - 1].is_whitespace() {
                     k -= 1;
+                }
+                if k >= 2 && chars[k - 2..k] == [':', ':'] {
+                    k -= 2;
+                    while k > 0 && is_ident_char(chars[k - 1]) {
+                        k -= 1;
+                    }
+                    continue;
                 }
                 if k > 0 && chars[k - 1] == '&' {
                     k -= 1;
@@ -1053,6 +1062,18 @@ mod tests {
         assert_eq!(pub_fn_name("pub(crate) fn hidden() {"), None);
         assert_eq!(pub_fn_name("fn private() {"), None);
         assert_eq!(pub_fn_name("pub struct Fn;"), None);
+    }
+
+    #[test]
+    fn path_qualified_hash_types_are_tracked() {
+        let f = lex(
+            "struct T {\n    a: std::collections::HashMap<u8, u8>,\n    \
+             b: &mut simcore::IdMap<u8, u8>,\n    c: Vec<u8>,\n}\n\
+             fn f(d: crate::IdSet<u8>, e: HashSet<u8>) {}\n",
+        );
+        let idents = collect_hash_idents(&f, &test_mask(&f));
+        let names: Vec<&str> = idents.names.iter().map(String::as_str).collect();
+        assert_eq!(names, ["a", "b", "d", "e"]);
     }
 
     #[test]

@@ -32,8 +32,8 @@ fn fixture_violations_exact() {
     let expected: Vec<(String, usize, String)> = [
         ("crates/core/src/fleet.rs", 9, "panic"),
         ("crates/core/src/fleet.rs", 14, "unordered-iter"),
-        ("crates/gateway/src/facade.rs", 4, "panic"),
-        ("crates/gateway/src/facade.rs", 9, "unordered-iter"),
+        ("crates/gateway/src/facade.rs", 5, "panic"),
+        ("crates/gateway/src/facade.rs", 11, "unordered-iter"),
         ("crates/simcore/src/bad_iter.rs", 10, "unordered-iter"),
         ("crates/simcore/src/bad_waiver.rs", 2, "bad-waiver"),
         ("crates/simcore/src/bad_waiver.rs", 3, "bad-waiver"),
@@ -44,6 +44,7 @@ fn fixture_violations_exact() {
         ("crates/simcore/src/randomness.rs", 2, "rng"),
         ("crates/simcore/src/raw_sync.rs", 2, "raw-sync"),
         ("crates/simcore/src/std_hasher.rs", 5, "std-hasher"),
+        ("crates/simcore/src/std_hasher.rs", 12, "unordered-iter"),
         ("crates/simcore/src/sync.rs", 11, "lock-order"),
         ("crates/simcore/src/threading.rs", 2, "thread"),
         ("crates/simcore/src/unsafe_block.rs", 2, "unsafe"),
@@ -70,10 +71,13 @@ fn fixture_diagnostics_render_exact() {
         "crates/core/src/fleet.rs:14: [unordered-iter] `for … in self.hosts`: \
          `hosts` is a HashMap/HashSet — iteration order is the hasher's, not the program's\n    \
          for (_, tes) in &self.hosts {\n",
-        "crates/gateway/src/facade.rs:4: [panic] `unwrap()`: library code must degrade \
+        "crates/gateway/src/facade.rs:5: [panic] `unwrap()`: library code must degrade \
          gracefully (debug_assert + fallback) instead of panicking\n    v.unwrap()\n",
-        "crates/gateway/src/facade.rs:9: [unordered-iter] `for … in sessions`: \
+        "crates/gateway/src/facade.rs:11: [unordered-iter] `for … in sessions`: \
          `sessions` is a HashMap/HashSet — iteration order is the hasher's, not the program's\n",
+        "crates/simcore/src/std_hasher.rs:12: [unordered-iter] `by_name.values()`: \
+         `by_name` is a HashMap/HashSet — iteration order is the hasher's, not the program's\n    \
+         self.by_name.values().copied().collect()\n",
         "crates/simcore/src/bad_iter.rs:10: [unordered-iter] `for … in self.loads`: \
          `loads` is a HashMap/HashSet — iteration order is the hasher's, not the program's\n    \
          for (_, v) in &self.loads {\n",
@@ -123,7 +127,7 @@ fn fixture_diagnostics_render_exact() {
 
     // Summary footer.
     assert!(
-        text.contains("detlint: 20 file(s) scanned, 18 violation(s), 15 waiver(s)"),
+        text.contains("detlint: 20 file(s) scanned, 19 violation(s), 17 waiver(s)"),
         "summary mismatch:\n{text}"
     );
 }
@@ -131,7 +135,7 @@ fn fixture_diagnostics_render_exact() {
 #[test]
 fn fixture_waiver_audit() {
     let report = scan(&fixture_root()).expect("fixture scan");
-    assert_eq!(report.waivers.len(), 15);
+    assert_eq!(report.waivers.len(), 17);
 
     let by_loc: Vec<(&str, usize, &str, bool, bool)> = report
         .waivers
@@ -154,9 +158,11 @@ fn fixture_waiver_audit() {
             true,
             false,
         ),
+        ("crates/gateway/src/facade.rs", 1, "std-hasher", true, false),
+        ("crates/gateway/src/facade.rs", 8, "std-hasher", true, false),
         (
             "crates/gateway/src/facade.rs",
-            16,
+            18,
             "wall-clock",
             true,
             false,
@@ -199,7 +205,7 @@ fn fixture_waiver_audit() {
     );
 
     let audit = report.render_waivers();
-    assert!(audit.starts_with("15 waiver(s) declared:\n"));
+    assert!(audit.starts_with("17 waiver(s) declared:\n"));
     assert!(audit.contains(
         "crates/simcore/src/std_hasher.rs:6: allow(std-hasher) — \
          fixture: keys are client-chosen strings"
@@ -221,7 +227,7 @@ fn fixture_waiver_audit() {
          commutative count; order is irrelevant"
     ));
     assert!(audit.contains(
-        "crates/gateway/src/facade.rs:16: allow(wall-clock) — \
+        "crates/gateway/src/facade.rs:18: allow(wall-clock) — \
          the facade's sole sim-to-wall bridge"
     ));
     assert!(audit.contains(
@@ -321,7 +327,7 @@ fn json_report_round_trips() {
         .get("waivers")
         .and_then(|v| v.as_array())
         .expect("waivers array");
-    assert_eq!(waivers.len(), 15);
+    assert_eq!(waivers.len(), 17);
     assert_eq!(waivers[0].get("used").and_then(|v| v.as_bool()), Some(true));
 
     // Every diagnostic record carries its rule name.
